@@ -5,6 +5,7 @@
 #include <complex>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "sealpaa/prob/kahan.hpp"
 #include "sealpaa/sim/metrics.hpp"  // header-only worse_error / error_magnitude
@@ -101,24 +102,22 @@ ErrorPmf ErrorPmf::mixture(std::span<const Term> terms,
                            const PmfOptions& options) {
   // Live terms in caller order — the accumulation order below is a
   // deterministic function of that order in both representations.
-  std::vector<Term> live;
-  live.reserve(terms.size());
+  const auto live = [](const Term& term) {
+    return term.pmf != nullptr && !term.pmf->empty() && term.scale != 0.0;
+  };
   std::int64_t min = std::numeric_limits<std::int64_t>::max();
   std::int64_t max = std::numeric_limits<std::int64_t>::min();
   std::size_t total_entries = 0;
   for (const Term& term : terms) {
-    if (term.pmf == nullptr || term.pmf->empty() || term.scale == 0.0) {
-      continue;
-    }
+    if (!live(term)) continue;
     if (!(term.scale > 0.0)) {
       throw std::invalid_argument("ErrorPmf::mixture: scales must be >= 0");
     }
-    live.push_back(term);
     min = std::min(min, term.pmf->min_value() + term.offset);
     max = std::max(max, term.pmf->max_value() + term.offset);
     total_entries += term.pmf->support_size();
   }
-  if (live.empty()) return ErrorPmf{};
+  if (total_entries == 0) return ErrorPmf{};
 
   const std::uint64_t span = value_span(min, max);
   Entries out;
@@ -127,7 +126,8 @@ ErrorPmf ErrorPmf::mixture(std::span<const Term> terms,
     // slot receives its contributions in term order, matching the
     // sparse path's stable merge bit for bit.
     std::vector<prob::KahanSum> slots(static_cast<std::size_t>(span) + 1);
-    for (const Term& term : live) {
+    for (const Term& term : terms) {
+      if (!live(term)) continue;
       for (const Entry& entry : term.pmf->entries()) {
         const std::uint64_t slot =
             value_span(min, entry.value + term.offset);
@@ -135,6 +135,7 @@ ErrorPmf ErrorPmf::mixture(std::span<const Term> terms,
                                                   entry.probability);
       }
     }
+    out.reserve(std::min(slots.size(), total_entries));
     for (std::size_t s = 0; s < slots.size(); ++s) {
       const double mass = slots[s].value();
       if (mass > 0.0) {
@@ -146,7 +147,8 @@ ErrorPmf ErrorPmf::mixture(std::span<const Term> terms,
     // value (ties keep term order), merge runs with compensation.
     Entries gathered;
     gathered.reserve(total_entries);
-    for (const Term& term : live) {
+    for (const Term& term : terms) {
+      if (!live(term)) continue;
       for (const Entry& entry : term.pmf->entries()) {
         gathered.push_back(Entry{entry.value + term.offset,
                                  term.scale * entry.probability});
@@ -337,24 +339,31 @@ ErrorPmfState make_error_pmf_state(double p_cin) {
   return state;
 }
 
-void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
-                       double p_a, double p_b, const PmfOptions& options) {
+void advance_error_pmf(const ErrorPmfState& from, const adders::AdderCell& cell,
+                       double p_a, double p_b, ErrorPmfState& into,
+                       const PmfOptions& options) {
+  if (&from == &into) {
+    throw std::invalid_argument(
+        "advance_error_pmf: source and destination states must differ");
+  }
   // Stage 62 would put the carry-out weight at 2^63, outside the signed
   // error domain; the chain layer allows width 63 but the PMF does not.
-  if (state.stage >= 62) {
+  if (from.stage >= 62) {
     throw std::length_error(
         "advance_error_pmf: error-PMF propagation supports widths <= 62");
   }
   const adders::AdderCell::Rows& exact = adders::AdderCell::accurate_rows();
   const std::array<double, 4> ab = ab_weights(p_a, p_b);
-  const std::int64_t weight = std::int64_t{1} << state.stage;
+  const std::int64_t weight = std::int64_t{1} << from.stage;
 
   // Segmented convolution: each (source pair, operand combination)
   // contributes its segment shifted by d_i = (s_approx - s_exact) * 2^i
-  // to exactly one destination pair.
-  std::array<std::vector<ErrorPmf::Term>, 4> terms;
+  // to exactly one destination pair.  At most 4 x 4 terms land on one
+  // destination, so the term lists live on the stack.
+  std::array<std::array<ErrorPmf::Term, 16>, 4> terms;
+  std::array<std::size_t, 4> term_count{};
   for (std::size_t src = 0; src < 4; ++src) {
-    const ErrorPmf& segment = state.joint[src];
+    const ErrorPmf& segment = from.joint[src];
     if (segment.empty()) continue;
     const bool ca = (src & 2U) != 0;
     const bool ce = (src & 1U) != 0;
@@ -370,17 +379,24 @@ void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
           (static_cast<std::int64_t>(approx_out.sum) -
            static_cast<std::int64_t>(exact_out.sum)) *
           weight;
-      terms[joint_index(approx_out.carry, exact_out.carry)].push_back(
-          ErrorPmf::Term{&segment, ab[abi], delta});
+      const std::size_t dst = joint_index(approx_out.carry, exact_out.carry);
+      terms[dst][term_count[dst]++] = ErrorPmf::Term{&segment, ab[abi], delta};
     }
   }
 
-  std::array<ErrorPmf, 4> next;
   for (std::size_t dst = 0; dst < 4; ++dst) {
-    next[dst] = ErrorPmf::mixture(terms[dst], options);
+    into.joint[dst] = ErrorPmf::mixture(
+        std::span<const ErrorPmf::Term>(terms[dst].data(), term_count[dst]),
+        options);
   }
-  state.joint = std::move(next);
-  ++state.stage;
+  into.stage = from.stage + 1;
+}
+
+void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
+                       double p_a, double p_b, const PmfOptions& options) {
+  ErrorPmfState next;
+  advance_error_pmf(state, cell, p_a, p_b, next, options);
+  state = std::move(next);
 }
 
 ErrorPmf finalize_error_pmf(const ErrorPmfState& state,

@@ -169,9 +169,18 @@ struct ErrorPmfState {
 [[nodiscard]] ErrorPmfState make_error_pmf_state(double p_cin);
 
 /// Absorbs one stage: shifts each (source pair, operand combination)
-/// segment by its error delta and mixes into the destination pairs.
-/// `stage` index comes from the state; throws std::length_error past 62
-/// stages (the carry-out weight 2^63 would overflow the signed error).
+/// segment of `from` by its error delta and writes the destination-pair
+/// mixtures straight into `into` (whose previous contents are replaced;
+/// `from` is left untouched).  The stage index comes from `from`; throws
+/// std::length_error past 62 stages (the carry-out weight 2^63 would
+/// overflow the signed error) and std::invalid_argument when `from` and
+/// `into` are the same object.
+void advance_error_pmf(const ErrorPmfState& from, const adders::AdderCell& cell,
+                       double p_a, double p_b, ErrorPmfState& into,
+                       const PmfOptions& options = {});
+
+/// In-place form of the above: bit-identical to advancing into a fresh
+/// state and moving it back.
 void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
                        double p_a, double p_b,
                        const PmfOptions& options = {});

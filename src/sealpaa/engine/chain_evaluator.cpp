@@ -548,9 +548,9 @@ std::shared_ptr<const analysis::ErrorPmfState> ChainEvaluator::pmf_state_after(
 
   // Advance from the deepest known state, caching every new prefix.
   for (std::size_t d = found; d < len; ++d) {
-    auto next = std::make_shared<analysis::ErrorPmfState>(*state);
-    analysis::advance_error_pmf(*next, candidates_[choices[d]],
-                                profile_.p_a(d), profile_.p_b(d),
+    auto next = std::make_shared<analysis::ErrorPmfState>();
+    analysis::advance_error_pmf(*state, candidates_[choices[d]],
+                                profile_.p_a(d), profile_.p_b(d), *next,
                                 pmf_options_);
     ++pmf_stats_.stages_computed;
     state = std::move(next);

@@ -47,9 +47,8 @@ const analysis::CarryState& IncrementalAnalyzer::push_stage(
       mkl, profile_.p_a(i), profile_.p_b(i), carry_at(i));
   Frame frame{mkl, next, {}};
   if (track_pmf_) {
-    frame.pmf = pmf_state_at(i);
-    analysis::advance_error_pmf(frame.pmf, cell, profile_.p_a(i),
-                                profile_.p_b(i), pmf_options_);
+    analysis::advance_error_pmf(pmf_state_at(i), cell, profile_.p_a(i),
+                                profile_.p_b(i), frame.pmf, pmf_options_);
   }
   stack_.push_back(std::move(frame));
   return stack_.back().carry;

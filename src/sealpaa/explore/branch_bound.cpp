@@ -9,8 +9,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sealpaa/engine/chain_evaluator.hpp"
-#include "sealpaa/engine/incremental.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
+#include "sealpaa/analysis/mkl.hpp"
+#include "sealpaa/analysis/recursive.hpp"
+#include "sealpaa/engine/incremental.hpp"  // MklCache::key_of fingerprints
 #include "sealpaa/explore/detail.hpp"
 #include "sealpaa/util/parallel.hpp"
 
@@ -68,8 +70,8 @@ double residual_bound(const analysis::ErrorPmfState& state, std::size_t depth,
   double bound = 0.0;
   for (const analysis::ErrorPmf& segment : state.joint) {
     for (const analysis::ErrorPmf::Entry& entry : segment.entries()) {
-      std::int64_t r = entry.value % mod;
-      if (r < 0) r += mod;
+      // value mod 2^depth in [0, 2^depth): a mask in two's complement.
+      const std::int64_t r = entry.value & (mod - 1);
       const double dist = static_cast<double>(std::min(r, mod - r));
       bound += entry.probability * (mse ? dist * dist : dist);
     }
@@ -101,6 +103,8 @@ struct Ctx {
   std::vector<char> cell_usable;
   std::vector<double> power_of;
   std::vector<double> area_of;
+  /// M/K/L matrices of each candidate (err carry advances).
+  std::vector<analysis::MklMatrices> mkls;
   /// Saturating k^i for the historical (stage-0 least significant)
   /// design index; pow_k[i] for i in [0, n].
   std::vector<std::uint64_t> pow_k;
@@ -120,12 +124,14 @@ Ctx make_ctx(const multibit::InputProfile& profile,
   ctx.cell_usable.reserve(ctx.k);
   ctx.power_of.reserve(ctx.k);
   ctx.area_of.reserve(ctx.k);
+  ctx.mkls.reserve(ctx.k);
   for (const adders::AdderCell& cell : candidates) {
     const detail::CellCost cost = detail::cost_of(cell);
     const bool ok = detail::usable(cost, constraints);
     ctx.cell_usable.push_back(ok ? 1 : 0);
     ctx.power_of.push_back(ok && cost.power ? *cost.power : 0.0);
     ctx.area_of.push_back(ok && cost.area ? *cost.area : 0.0);
+    ctx.mkls.push_back(analysis::MklMatrices::from_cell(cell));
   }
   ctx.pow_k.resize(ctx.n + 1);
   ctx.leaves_below.resize(ctx.n + 1);
@@ -263,20 +269,77 @@ void validate_checkpoint(const Ctx& ctx, const BnbCheckpoint& ckpt) {
   }
 }
 
-/// One worker: owns a ChainEvaluator (not thread-safe) and drains units
-/// from its range, stealing when empty.
+/// The search state along one DFS path, one frame per depth: frame d
+/// holds the state after the path's first d stages — the carry state for
+/// err, the joint error-PMF state for med/mse.  Frame d + 1 is derived
+/// from frame d once, when the search pushes a child, so a node costs one
+/// advance_stage / advance_error_pmf; the bounds and the leaf scores read
+/// the frames directly.
+class FrameStack {
+ public:
+  explicit FrameStack(const Ctx& ctx) : ctx_(ctx) {
+    const double p_cin = ctx.profile.p_cin();
+    if (ctx.maximize) {
+      carry_.resize(ctx.n + 1);
+      carry_[0] = {1.0 - p_cin, p_cin};
+    } else {
+      pmf_.resize(ctx.n + 1);
+      pmf_[0] = analysis::make_error_pmf_state(p_cin);
+    }
+  }
+
+  /// Frame d + 1 from frame d, with candidate c at stage d.
+  void advance(std::size_t d, std::size_t c) {
+    const double p_a = ctx_.profile.p_a(d);
+    const double p_b = ctx_.profile.p_b(d);
+    if (ctx_.maximize) {
+      carry_[d + 1] = analysis::advance_stage(ctx_.mkls[c], p_a, p_b,
+                                              carry_[d]);
+    } else {
+      analysis::advance_error_pmf(pmf_[d], ctx_.candidates[c], p_a, p_b,
+                                  pmf_[d + 1]);
+    }
+    ++advances_;
+  }
+
+  /// Admissible bound on every completion of frame d: the success mass
+  /// (err, an upper bound) or the residue bound (med/mse, a lower bound).
+  [[nodiscard]] double bound(std::size_t d) const {
+    return ctx_.maximize ? carry_[d].success_mass()
+                         : residual_bound(pmf_[d], d, ctx_.objective);
+  }
+
+  /// Score of the full design that completes frame n - 1 with candidate
+  /// c: Equation 12 for err; for med/mse the advance into frame n, then
+  /// the finalized PMF's metric.
+  [[nodiscard]] double leaf_score(std::size_t c) {
+    const std::size_t last = ctx_.n - 1;
+    if (ctx_.maximize) {
+      return analysis::final_success(ctx_.mkls[c], ctx_.profile.p_a(last),
+                                     ctx_.profile.p_b(last), carry_[last]);
+    }
+    advance(last, c);
+    return detail::pmf_metric(analysis::finalize_error_pmf(pmf_[ctx_.n]),
+                              ctx_.objective);
+  }
+
+  /// Frames derived so far (the stages_computed accounting).
+  [[nodiscard]] std::uint64_t advances() const noexcept { return advances_; }
+
+ private:
+  const Ctx& ctx_;
+  std::vector<analysis::CarryState> carry_;
+  std::vector<analysis::ErrorPmfState> pmf_;
+  std::uint64_t advances_ = 0;
+};
+
+/// One worker: owns a FrameStack and drains units from its range,
+/// stealing when empty.
 class Worker {
  public:
   Worker(const Ctx& ctx, Shared& shared, const BnbOptions& options,
          std::size_t id)
-      : ctx_(ctx),
-        shared_(shared),
-        options_(options),
-        id_(id),
-        eval_(ctx.profile,
-              std::vector<adders::AdderCell>(ctx.candidates.begin(),
-                                             ctx.candidates.end())),
-        parent_scratch_(1) {
+      : ctx_(ctx), shared_(shared), options_(options), id_(id), frames_(ctx) {
     choices_.reserve(ctx.n);
   }
 
@@ -366,25 +429,14 @@ class Worker {
           sat_add(unit_stats_.candidates_rejected,
                   ctx_.leaves_below[ctx_.split_depth]);
     } else {
-      const engine::CacheStats cache_before = objective_cache_stats();
-      const engine::BatchStats batch_before = eval_.batch_stats();
+      const std::uint64_t advances_before = frames_.advances();
+      for (std::size_t i = 0; i < ctx_.split_depth; ++i) {
+        frames_.advance(i, choices_[i]);
+      }
       dfs(unit, power, area);
-      const engine::CacheStats& cache_after = objective_cache_stats();
-      const engine::BatchStats& batch_after = eval_.batch_stats();
-      unit_stats_.cache_hits += cache_after.hits - cache_before.hits;
-      unit_stats_.cache_misses += cache_after.misses - cache_before.misses;
-      unit_stats_.stages_computed +=
-          cache_after.stages_computed - cache_before.stages_computed;
-      unit_stats_.soa_batches += batch_after.batches - batch_before.batches;
-      unit_stats_.soa_lanes += batch_after.lanes - batch_before.lanes;
-      unit_stats_.soa_max_lanes =
-          std::max(unit_stats_.soa_max_lanes, batch_after.max_lanes);
+      unit_stats_.stages_computed += frames_.advances() - advances_before;
     }
     complete_unit(unit);
-  }
-
-  [[nodiscard]] const engine::CacheStats& objective_cache_stats() const {
-    return ctx_.maximize ? eval_.stats() : eval_.pmf_stats();
   }
 
   void refresh_incumbent_locked() {
@@ -403,18 +455,11 @@ class Worker {
 
   void dfs(std::uint64_t prefix_index, double power, double area) {
     const std::size_t d = choices_.size();
-    if (inc_found_) {
-      const double bound =
-          ctx_.maximize
-              ? eval_.carry_after(choices_).success_mass()
-              : residual_bound(*eval_.pmf_state_after(choices_), d,
-                               ctx_.objective);
-      if (prunable(bound)) {
-        ++unit_stats_.bound_cutoffs;
-        unit_stats_.nodes_pruned =
-            sat_add(unit_stats_.nodes_pruned, ctx_.leaves_below[d]);
-        return;
-      }
+    if (inc_found_ && prunable(frames_.bound(d))) {
+      ++unit_stats_.bound_cutoffs;
+      unit_stats_.nodes_pruned =
+          sat_add(unit_stats_.nodes_pruned, ctx_.leaves_below[d]);
+      return;
     }
     ++unit_stats_.nodes_expanded;
     if (d + 1 == ctx_.n) {
@@ -445,6 +490,7 @@ class Worker {
           continue;
         }
       }
+      frames_.advance(d, c);
       choices_.push_back(c);
       dfs(sat_add(prefix_index, sat_mul(c, ctx_.pow_k[d])), next_power,
           next_area);
@@ -452,14 +498,10 @@ class Worker {
     }
   }
 
-  /// Scores all surviving extensions of the depth-(n-1) prefix.  The err
-  /// objective scores them in one score_extensions SoA batch (lane-
-  /// parallel, bit-identical to per-extension final_success); the PMF
-  /// objectives finalize each candidate's prefix PMF.
+  /// Scores every surviving extension of the depth-(n-1) prefix from
+  /// frame n - 1.
   void score_leaves(std::uint64_t prefix_index, double power, double area) {
     const std::size_t d = choices_.size();
-    pending_.clear();
-    pending_choice_.clear();
     for (std::size_t c = 0; c < ctx_.k; ++c) {
       if (!ctx_.cell_usable[c]) {
         ++unit_stats_.candidates_rejected;
@@ -475,31 +517,9 @@ class Worker {
         ++unit_stats_.candidates_rejected;
         continue;
       }
-      if (ctx_.maximize) {
-        pending_.push_back(engine::ChainEvaluator::Extension{
-            0, static_cast<std::uint8_t>(c)});
-        pending_choice_.push_back(c);
-      } else {
-        choices_.push_back(c);
-        const double metric =
-            detail::pmf_metric(eval_.error_pmf(choices_), ctx_.objective);
-        choices_.pop_back();
-        ++unit_stats_.candidates_evaluated;
-        consider(metric,
-                 sat_add(prefix_index, sat_mul(c, ctx_.pow_k[d])), c);
-      }
-    }
-    if (ctx_.maximize && !pending_.empty()) {
-      unit_stats_.candidates_evaluated += pending_.size();
-      parent_scratch_[0] = choices_;
-      const std::vector<double> scores =
-          eval_.score_extensions(parent_scratch_, pending_);
-      for (std::size_t e = 0; e < pending_.size(); ++e) {
-        consider(scores[e],
-                 sat_add(prefix_index,
-                         sat_mul(pending_choice_[e], ctx_.pow_k[d])),
-                 pending_choice_[e]);
-      }
+      const double score = frames_.leaf_score(c);
+      ++unit_stats_.candidates_evaluated;
+      consider(score, sat_add(prefix_index, sat_mul(c, ctx_.pow_k[d])), c);
     }
   }
 
@@ -541,7 +561,7 @@ class Worker {
   Shared& shared_;
   const BnbOptions& options_;
   std::size_t id_;
-  engine::ChainEvaluator eval_;
+  FrameStack frames_;
   // Live local view of the incumbent (score/index only) used for
   // pruning; refreshed under the lock at unit starts and publishes.
   bool inc_found_ = false;
@@ -549,13 +569,11 @@ class Worker {
   std::uint64_t inc_index_ = 0;
   SearchStats unit_stats_;
   std::vector<std::size_t> choices_;
-  std::vector<std::vector<std::size_t>> parent_scratch_;
-  std::vector<engine::ChainEvaluator::Extension> pending_;
-  std::vector<std::size_t> pending_choice_;
 };
 
-/// Seeds the incumbent with the beam winner, re-scored through the same
-/// leaf-scoring arithmetic the tree uses so comparisons are bit-exact.
+/// Seeds the incumbent with the beam winner, re-scored through the
+/// FrameStack the workers use, so the seed and the tree's leaves share
+/// one arithmetic and comparisons are bit-exact by construction.
 void seed_incumbent(const Ctx& ctx, Shared& shared,
                     const BnbOptions& options) {
   if (options.seed_beam_width == 0 || ctx.n == 0) return;
@@ -584,17 +602,9 @@ void seed_incumbent(const Ctx& ctx, Shared& shared,
     }
     choices.push_back(found);
   }
-  engine::ChainEvaluator eval(
-      ctx.profile, std::vector<adders::AdderCell>(ctx.candidates.begin(),
-                                                  ctx.candidates.end()));
-  double score = 0.0;
-  if (ctx.maximize) {
-    const std::span<const std::size_t> prefix(choices.data(),
-                                              choices.size() - 1);
-    score = eval.final_success(prefix, choices.back());
-  } else {
-    score = detail::pmf_metric(eval.error_pmf(choices), ctx.objective);
-  }
+  FrameStack frames(ctx);
+  for (std::size_t i = 0; i + 1 < ctx.n; ++i) frames.advance(i, choices[i]);
+  const double score = frames.leaf_score(choices.back());
   std::uint64_t index = 0;
   for (std::size_t i = 0; i < ctx.n; ++i) {
     index = sat_add(index, sat_mul(choices[i], ctx.pow_k[i]));

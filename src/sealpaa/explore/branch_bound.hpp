@@ -30,6 +30,13 @@
 // spaces beyond 2^64 designs; within the exhaustively checkable regime
 // it is always exact.)
 //
+// Search state lives in the DFS frame, not in a cache: each worker keeps
+// one state per depth (the carry state for err, the joint error-PMF
+// state for med/mse) and derives a child's frame from its parent's with
+// a single advance_stage / advance_error_pmf when it pushes the child.
+// The bounds and the leaf scores read the frames directly, so a node
+// costs one stage advance and no prefix hashing or cache probes.
+//
 // Work is split at a shallow fixed depth into k^D prefix units (D the
 // smallest depth with at least 64 units — a function of the space only,
 // never of the thread count).  Units are dealt to per-worker ranges;
@@ -43,11 +50,11 @@
 // accumulated SearchStats at unit granularity.  They contain no RNG
 // state and no partially-expanded subtrees, so resuming re-runs exactly
 // the units that had not completed: single-threaded, an interrupted +
-// resumed search reproduces the uninterrupted run's incumbent AND its
-// nodes_expanded / nodes_pruned / candidates_evaluated totals
-// bit-for-bit.  (Only the evaluator cache-warmth counters — cache_hits /
-// cache_misses / stages_computed — may differ, because the resumed
-// process starts its prefix caches cold.)  Serialization lives in
+// resumed search reproduces the uninterrupted run's incumbent AND every
+// SearchStats counter bit-for-bit.  The search keeps no cache whose
+// warmth a fresh process could lose, and stages_computed counts frame
+// advances, which depend only on the units a run processes.
+// Serialization lives in
 // obs/checkpoint.hpp (explore sits below the JSON layer); this header
 // only defines the plain data snapshot and a sink callback.
 #pragma once
@@ -99,8 +106,8 @@ struct BnbCheckpoint {
 /// Tuning and lifecycle knobs for one branch-and-bound run.
 struct BnbOptions {
   /// Worker threads (0 → util::default_threads()).  The final design is
-  /// identical for every value; only node/cache counters and wall time
-  /// vary beyond 1 thread.
+  /// identical for every value; only the search counters (nodes, frame
+  /// advances, steals) and wall time vary beyond 1 thread.
   unsigned threads = 0;
   /// Width of the beam search whose winner seeds the incumbent (a good
   /// initial incumbent is what makes the bound prune from node one).

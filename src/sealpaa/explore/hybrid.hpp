@@ -56,13 +56,18 @@ struct SearchStats {
   /// Candidates discarded by power/area constraints before scoring.
   std::uint64_t candidates_rejected = 0;
   /// Prefix-cache probes answered / missed (beam and greedy, which run
-  /// on engine::ChainEvaluator; zero for the exhaustive DFS, which
-  /// shares prefixes structurally instead of through a cache).
+  /// on engine::ChainEvaluator; zero for the exhaustive DFS and for
+  /// branch-and-bound, which share prefixes structurally — state held
+  /// per DFS depth — instead of through a cache).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// advance_stage calls actually performed.  Without prefix reuse this
-  /// would be ~candidates_evaluated * width; the ratio is the measured
-  /// benefit of the incremental engine.
+  /// Stage advances actually performed (advance_stage, or
+  /// advance_error_pmf for the PMF-ranked objectives).  Without prefix
+  /// reuse this would be ~candidates_evaluated * width; the ratio is the
+  /// measured benefit of the incremental engine.  For branch-and-bound
+  /// it counts DFS frame advances: one per child pushed, per PMF leaf
+  /// scored and per stage of each unit's fixed prefix — deterministic
+  /// single-threaded, so a resumed run reproduces it exactly.
   std::uint64_t stages_computed = 0;
   /// SoA batch accounting of the err-objective beam/greedy search, which
   /// scores each frontier expansion through one
@@ -70,7 +75,7 @@ struct SearchStats {
   /// submitted, total lanes across them, and the widest single batch.
   /// soa_max_lanes > 1 is the run-report proof that expansion ran
   /// lane-parallel rather than extension-at-a-time.  Zero for the
-  /// exhaustive DFS and the PMF-ranked objectives.
+  /// exhaustive DFS, branch-and-bound and the PMF-ranked objectives.
   std::uint64_t soa_batches = 0;
   std::uint64_t soa_lanes = 0;
   std::uint64_t soa_max_lanes = 0;
@@ -85,6 +90,8 @@ struct SearchStats {
   std::uint64_t nodes_pruned = 0;
   std::uint64_t bound_cutoffs = 0;
   std::uint64_t steal_count = 0;
+
+  friend bool operator==(const SearchStats&, const SearchStats&) = default;
 };
 
 /// A fully evaluated hybrid design.

@@ -52,6 +52,17 @@ std::vector<std::string> stage_names(const HybridDesign& design) {
   return names;
 }
 
+/// Palette per objective for the multi-objective fixtures.  The residue
+/// bound barely prunes an unconstrained all-approximate space, so the
+/// PMF-ranked objectives get a 3-cell palette that keeps their
+/// near-exhaustive enumeration cheap.
+std::vector<sealpaa::adders::AdderCell> palette_for(Objective objective) {
+  if (objective == Objective::kErrorRate) {
+    return {builtin_lpaas().begin(), builtin_lpaas().end()};
+  }
+  return {lpaa(1), lpaa(3), lpaa(7)};
+}
+
 void expect_same_design(const HybridDesign& a, const HybridDesign& b) {
   EXPECT_EQ(stage_names(a), stage_names(b));
   EXPECT_EQ(a.p_error, b.p_error);  // bit-identical, not just close
@@ -156,47 +167,86 @@ TEST(BranchBound, UnseededSearchFindsTheSameOptimum) {
 
 // The headline fixture: suspend ("kill") the search mid-run, persist the
 // checkpoint through the real JSON file path, resume in what models a
-// fresh process, and require the final incumbent AND the search-tree
-// accounting to equal the uninterrupted run exactly.  (Evaluator
-// cache-warmth counters are exempt by contract — a resumed process
-// starts its prefix caches cold.)
+// fresh process, and require the final incumbent AND every SearchStats
+// counter to equal the uninterrupted run exactly.  The search keeps its
+// state in the DFS frames, not in a cache, so no counter depends on
+// cache warmth and none is exempt.
 TEST(BranchBound, KillAndResumeReproducesUninterruptedRun) {
   const InputProfile profile = varied_profile(6);
   const std::string path =
       testing::TempDir() + "/sealpaa_bnb_resume_test.json";
-  BnbOptions suspend_options;
-  suspend_options.threads = 1;
-  suspend_options.suspend_after_units = 3;
-  suspend_options.checkpoint_every_units = 1;
-  suspend_options.checkpoint_sink =
-      [&path](const BnbCheckpoint& checkpoint) {
-        sealpaa::obs::write_bnb_checkpoint(path, checkpoint);
-      };
-  const BnbResult suspended = BranchBoundOptimizer::optimize(
-      profile, builtin_lpaas(), {}, Objective::kErrorRate, suspend_options);
-  ASSERT_FALSE(suspended.complete);
-  EXPECT_EQ(suspended.checkpoint.completed_units.size(), 3u);
+  for (const Objective objective :
+       {Objective::kErrorRate, Objective::kMed, Objective::kMse}) {
+    SCOPED_TRACE(std::string(sealpaa::explore::objective_name(objective)));
+    const std::vector<sealpaa::adders::AdderCell> palette =
+        palette_for(objective);
+    BnbOptions suspend_options;
+    suspend_options.threads = 1;
+    suspend_options.suspend_after_units = 3;
+    suspend_options.checkpoint_every_units = 1;
+    suspend_options.checkpoint_sink =
+        [&path](const BnbCheckpoint& checkpoint) {
+          sealpaa::obs::write_bnb_checkpoint(path, checkpoint);
+        };
+    const BnbResult suspended = BranchBoundOptimizer::optimize(
+        profile, palette, {}, objective, suspend_options);
+    ASSERT_FALSE(suspended.complete);
+    EXPECT_EQ(suspended.checkpoint.completed_units.size(), 3u);
 
-  const BnbCheckpoint restored = sealpaa::obs::read_bnb_checkpoint(path);
-  const BnbResult resumed = BranchBoundOptimizer::resume(
-      profile, builtin_lpaas(), restored, {}, Objective::kErrorRate,
-      threads_opt(1));
-  ASSERT_TRUE(resumed.complete);
+    const BnbCheckpoint restored = sealpaa::obs::read_bnb_checkpoint(path);
+    const BnbResult resumed = BranchBoundOptimizer::resume(
+        profile, palette, restored, {}, objective, threads_opt(1));
+    ASSERT_TRUE(resumed.complete);
 
-  const BnbResult uninterrupted = BranchBoundOptimizer::optimize(
-      profile, builtin_lpaas(), {}, Objective::kErrorRate, threads_opt(1));
-  expect_same_design(resumed.design, uninterrupted.design);
-  EXPECT_EQ(resumed.design.stats.nodes_expanded,
-            uninterrupted.design.stats.nodes_expanded);
-  EXPECT_EQ(resumed.design.stats.nodes_pruned,
-            uninterrupted.design.stats.nodes_pruned);
-  EXPECT_EQ(resumed.design.stats.bound_cutoffs,
-            uninterrupted.design.stats.bound_cutoffs);
-  EXPECT_EQ(resumed.design.stats.candidates_evaluated,
-            uninterrupted.design.stats.candidates_evaluated);
-  EXPECT_EQ(resumed.design.stats.candidates_rejected,
-            uninterrupted.design.stats.candidates_rejected);
+    const BnbResult uninterrupted = BranchBoundOptimizer::optimize(
+        profile, palette, {}, objective, threads_opt(1));
+    expect_same_design(resumed.design, uninterrupted.design);
+    EXPECT_TRUE(resumed.design.stats == uninterrupted.design.stats)
+        << "resumed: " << sealpaa::obs::to_json(resumed.design.stats).dump()
+        << "\nuninterrupted: "
+        << sealpaa::obs::to_json(uninterrupted.design.stats).dump();
+  }
   std::remove(path.c_str());
+}
+
+// Work bound: with the search state carried on the DFS stack, a node
+// costs one frame advance per child and no prefix-cache traffic.  Every
+// expanded node advances at most k children (or scores at most k PMF
+// leaves), and each unit derives its split_depth-stage fixed prefix
+// once, so per-node prefix re-derivation cannot creep back unnoticed.
+TEST(BranchBound, FrameAdvancesBoundedByExpandedNodes) {
+  const InputProfile profile = varied_profile(7);
+  for (const Objective objective :
+       {Objective::kErrorRate, Objective::kMed, Objective::kMse}) {
+    const std::vector<sealpaa::adders::AdderCell> palette =
+        palette_for(objective);
+    const std::size_t k = palette.size();
+    BnbOptions probe;
+    probe.threads = 1;
+    probe.suspend_after_units = 1;
+    const BnbCheckpoint split =
+        BranchBoundOptimizer::optimize(profile, palette, {}, objective, probe)
+            .checkpoint;
+    ASSERT_GT(split.total_units, 1u);
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(sealpaa::explore::objective_name(objective)) +
+                   " threads " + std::to_string(threads));
+      const SearchStats stats =
+          BranchBoundOptimizer::optimize(profile, palette, {}, objective,
+                                         threads_opt(threads))
+              .design.stats;
+      EXPECT_EQ(stats.cache_hits, 0u);
+      EXPECT_EQ(stats.cache_misses, 0u);
+      EXPECT_EQ(stats.soa_batches, 0u);
+      EXPECT_EQ(stats.soa_lanes, 0u);
+      EXPECT_EQ(stats.soa_max_lanes, 0u);
+      EXPECT_GT(stats.nodes_expanded, 0u);
+      EXPECT_GT(stats.stages_computed, 0u);
+      EXPECT_LE(stats.stages_computed,
+                k * stats.nodes_expanded +
+                    split.split_depth * split.total_units);
+    }
+  }
 }
 
 TEST(BranchBound, CheckpointJsonRoundTripsExactly) {

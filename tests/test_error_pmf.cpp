@@ -13,12 +13,14 @@
 //    exactly while accounting their cache traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
@@ -152,6 +154,51 @@ TEST(ErrorPmf, JointSegmentMassesStayNormalizedMidPropagation) {
           << "trial " << trial << " after stage " << i;
     }
   }
+}
+
+TEST(ErrorPmf, OutOfPlaceAdvanceMatchesInPlaceBitForBit) {
+  sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'0010ULL);
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'0011ULL);
+  // Random cells on the low 12 bits, AccuFA above: a random chain's
+  // support roughly doubles per stage (5M points at width 20), while
+  // the approximate-low-bits layout keeps widths up to 20 cheap.
+  constexpr std::size_t kApproxBits = 12;
+  for (int trial = 0; trial < 5; ++trial) {
+    const std::size_t width = 4 + static_cast<std::size_t>(trial) * 4;
+    std::vector<AdderCell> stages =
+        random_chain(cell_rng, std::min(width, kApproxBits), trial);
+    stages.resize(width, sealpaa::adders::accurate());
+    const InputProfile profile =
+        InputProfile::random(width, profile_rng, 0.05, 0.95);
+    ErrorPmfState in_place =
+        sealpaa::analysis::make_error_pmf_state(profile.p_cin());
+    ErrorPmfState from = in_place;
+    for (std::size_t i = 0; i < width; ++i) {
+      const std::string context = "trial " + std::to_string(trial) +
+                                  " width " + std::to_string(width) +
+                                  " stage " + std::to_string(i);
+      const ErrorPmfState source = from;
+      // A stale, unrelated destination: the advance must replace it.
+      ErrorPmfState into = sealpaa::analysis::make_error_pmf_state(0.5);
+      sealpaa::analysis::advance_error_pmf(from, stages[i], profile.p_a(i),
+                                           profile.p_b(i), into);
+      sealpaa::analysis::advance_error_pmf(in_place, stages[i],
+                                           profile.p_a(i), profile.p_b(i));
+      ASSERT_EQ(into.stage, in_place.stage) << context;
+      for (std::size_t j = 0; j < 4; ++j) {
+        expect_same_entries(into.joint[j], in_place.joint[j],
+                            context + " segment " + std::to_string(j));
+        expect_same_entries(from.joint[j], source.joint[j],
+                            context + " source segment " + std::to_string(j));
+      }
+      EXPECT_EQ(from.stage, source.stage) << context;
+      from = std::move(into);
+    }
+  }
+  ErrorPmfState state = sealpaa::analysis::make_error_pmf_state(0.5);
+  EXPECT_THROW(sealpaa::analysis::advance_error_pmf(
+                   state, sealpaa::adders::lpaa(1), 0.5, 0.5, state),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
