@@ -11,10 +11,11 @@
 // each at 1 and 8 worker threads.  Every (width, threads) pair runs both
 // kernels and the bench exits non-zero unless the resulting metrics are
 // *identical* — the bit-sliced path must count exactly the same errors,
-// or the speedup is meaningless.  Throughput (cases/sec) and the
-// single-thread width-16 speedup are reported in
-// BENCH_bitsliced_sim.json (--no-json suppresses, --json-report=FILE
-// redirects).
+// or the speedup is meaningless.  Throughput (cases/sec), the
+// single-thread width-16 speedup and the single-thread width-32 Monte
+// Carlo cost (absolute ns per sample for each kernel, and their ratio)
+// are reported in BENCH_bitsliced_sim.json (--no-json suppresses,
+// --json-report=FILE redirects).
 //
 // Flags: --reps=3  --subrange=64  --samples=1048576  --quick
 #include <iostream>
@@ -128,6 +129,8 @@ int main(int argc, char** argv) {
     bool all_identical = true;
     double width16_scalar_1t = 0.0;
     double width16_bitsliced_1t = 0.0;
+    double mc_ns_scalar_1t = 0.0;
+    double mc_ns_bitsliced_1t = 0.0;
 
     const auto record = [&](const std::string& sim_name, std::size_t width,
                             unsigned threads, const Measurement& scalar,
@@ -207,6 +210,11 @@ int main(int argc, char** argv) {
               .metrics;
         });
         record("monte-carlo", 32, threads, scalar, bitsliced);
+        if (threads == 1) {
+          mc_ns_scalar_1t = scalar.seconds * 1e9 / static_cast<double>(samples);
+          mc_ns_bitsliced_1t =
+              bitsliced.seconds * 1e9 / static_cast<double>(samples);
+        }
       }
     }
     total.stop();
@@ -214,8 +222,14 @@ int main(int argc, char** argv) {
     const double width16_speedup =
         width16_bitsliced_1t > 0.0 ? width16_scalar_1t / width16_bitsliced_1t
                                    : 0.0;
+    const double mc_speedup =
+        mc_ns_bitsliced_1t > 0.0 ? mc_ns_scalar_1t / mc_ns_bitsliced_1t : 0.0;
     std::cout << "width-16 single-thread exhaustive speedup: "
               << util::fixed(width16_speedup, 2) << "x\n"
+              << "width-32 single-thread Monte Carlo: scalar "
+              << util::fixed(mc_ns_scalar_1t, 1) << " ns/sample, bitsliced "
+              << util::fixed(mc_ns_bitsliced_1t, 1) << " ns/sample, speedup "
+              << util::fixed(mc_speedup, 2) << "x\n"
               << "all kernels identical: " << (all_identical ? "yes" : "NO")
               << "\n";
 
@@ -228,6 +242,10 @@ int main(int argc, char** argv) {
     section.set("rows", std::move(rows));
     section.set("all_identical", obs::Json(all_identical));
     section.set("width16_speedup_1thread", obs::Json(width16_speedup));
+    section.set("mc_ns_per_sample_scalar_1thread", obs::Json(mc_ns_scalar_1t));
+    section.set("mc_ns_per_sample_bitsliced_1thread",
+                obs::Json(mc_ns_bitsliced_1t));
+    section.set("mc_speedup_1thread", obs::Json(mc_speedup));
 
     if (const auto path = obs::report_path(args, "BENCH_bitsliced_sim.json")) {
       report.write_file(*path);

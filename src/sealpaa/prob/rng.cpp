@@ -7,18 +7,6 @@ Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   for (auto& word : state_) word = mix.next();
 }
 
-Xoshiro256StarStar::result_type Xoshiro256StarStar::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 void Xoshiro256StarStar::jump() noexcept {
   static constexpr std::uint64_t kJump[] = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,

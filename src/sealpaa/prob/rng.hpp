@@ -40,7 +40,19 @@ class Xoshiro256StarStar {
   }
 
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  /// Inline so the Monte Carlo samplers keep the state in registers
+  /// across their per-bit draw loops.
+  result_type next() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 random bits.
   [[nodiscard]] double uniform01() noexcept {

@@ -288,18 +288,4 @@ void BitSlicedKernel::run_packed_group(const std::uint64_t* a_words,
   }
 }
 
-BitSlicedKernel::Result BitSlicedKernel::run(
-    const std::uint64_t* a_lanes, const std::uint64_t* b_lanes,
-    std::uint64_t cin_word, std::uint64_t lane_mask) const noexcept {
-  std::array<std::uint64_t, 64> a_words;
-  std::array<std::uint64_t, 64> b_words;
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    a_words[lane] = a_lanes[lane];
-    b_words[lane] = b_lanes[lane];
-  }
-  transpose64_fast(a_words);
-  transpose64_fast(b_words);
-  return run_packed(a_words.data(), b_words.data(), cin_word, lane_mask);
-}
-
 }  // namespace sealpaa::sim

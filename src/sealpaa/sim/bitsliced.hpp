@@ -137,9 +137,10 @@ struct SlicedLut {
 [[nodiscard]] SlicedLut compile_lut(std::uint8_t truth);
 
 /// In-place 64x64 bit-matrix transpose: bit i of output row l equals bit
-/// l of input row i.  Used to pack 64 per-lane operands into per-bit lane
-/// words (and exposed for tests).  This is the portable reference
-/// implementation (Hacker's Delight block swaps).
+/// l of input row i.  Turns the value planes back into per-lane values
+/// (detail::finalize_errors) and packs per-lane operands into lane words
+/// in tests.  This is the portable reference implementation (Hacker's
+/// Delight block swaps).
 void transpose64(std::array<std::uint64_t, 64>& m) noexcept;
 
 /// Same contract as transpose64, but dispatched at runtime to an
@@ -209,12 +210,12 @@ class BitSlicedKernel {
     std::uint64_t sum_bits_error_mask = 0;
     /// Signed error approx - exact per lane (same wraparound semantics
     /// as the scalar int64 subtraction); zero outside value_error_mask.
-    /// Not initialized by the default constructor — run / run_packed
-    /// write every lane before returning.
+    /// Not initialized by the default constructor — run_packed
+    /// writes every lane before returning.
     std::array<std::int64_t, 64> error;
     /// First stage whose outputs deviated from the accurate FA; -1 when
     /// every stage succeeded (TracedAddResult::first_failed_stage).
-    /// Like `error`, written by run / run_packed, not the constructor.
+    /// Like `error`, written by run_packed, not the constructor.
     std::array<std::int8_t, 64> first_failed;
   };
 
@@ -224,14 +225,6 @@ class BitSlicedKernel {
                                   const std::uint64_t* b_words,
                                   std::uint64_t cin_word,
                                   std::uint64_t lane_mask) const noexcept;
-
-  /// Convenience entry for per-lane operands (Monte Carlo sampling):
-  /// transposes `a_lanes` / `b_lanes` (64 values each, bits above
-  /// width() ignored) into lane words, then runs the packed kernel.
-  [[nodiscard]] Result run(const std::uint64_t* a_lanes,
-                           const std::uint64_t* b_lanes,
-                           std::uint64_t cin_word,
-                           std::uint64_t lane_mask) const noexcept;
 
   /// Batches evaluated together by run_packed_group.
   static constexpr std::size_t kGroupBatches = 8;

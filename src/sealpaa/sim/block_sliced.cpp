@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sealpaa/sim/bitsliced.hpp"
+#include "sealpaa/sim/lane_sampler.hpp"
 
 namespace sealpaa::sim {
 
@@ -60,18 +61,6 @@ BlockSlicedKernel::Result BlockSlicedKernel::run_packed(
   return result;
 }
 
-BlockSlicedKernel::Result BlockSlicedKernel::run(
-    const std::uint64_t* a_lanes, const std::uint64_t* b_lanes,
-    std::uint64_t cin_word, std::uint64_t lane_mask) const noexcept {
-  std::array<std::uint64_t, 64> a_words;
-  std::array<std::uint64_t, 64> b_words;
-  std::copy(a_lanes, a_lanes + 64, a_words.begin());
-  std::copy(b_lanes, b_lanes + 64, b_words.begin());
-  transpose64_fast(a_words);
-  transpose64_fast(b_words);
-  return run_packed(a_words.data(), b_words.data(), cin_word, lane_mask);
-}
-
 ErrorMetrics block_monte_carlo(const multibit::BlockChainSpec& spec,
                                const multibit::InputProfile& profile,
                                std::uint64_t samples, std::uint64_t seed) {
@@ -80,27 +69,19 @@ ErrorMetrics block_monte_carlo(const multibit::BlockChainSpec& spec,
         "block_monte_carlo: profile width must equal the block-adder width");
   }
   const BlockSlicedKernel kernel(spec);
+  LaneSampler sampler(profile);
   prob::Xoshiro256StarStar rng(seed);
   ErrorMetrics metrics;
-  std::uint64_t remaining = samples;
-  std::array<std::uint64_t, 64> a_lanes;
-  std::array<std::uint64_t, 64> b_lanes;
-  while (remaining > 0) {
-    const std::uint64_t lanes = std::min<std::uint64_t>(remaining, 64);
+  std::array<std::uint64_t, 64> a_words{};
+  std::array<std::uint64_t, 64> b_words{};
+  for (std::uint64_t first = 0; first < samples; first += 64) {
+    const std::uint64_t count = std::min<std::uint64_t>(64, samples - first);
+    const std::uint64_t cin_word =
+        sampler.draw(rng, count, a_words.data(), b_words.data());
     const std::uint64_t lane_mask =
-        lanes == 64 ? ~0ULL : (1ULL << lanes) - 1ULL;
-    std::uint64_t cin_word = 0;
-    for (std::uint64_t l = 0; l < lanes; ++l) {
-      const auto sample = profile.sample(rng);
-      a_lanes[l] = sample.a;
-      b_lanes[l] = sample.b;
-      if (sample.cin) cin_word |= 1ULL << l;
-    }
-    for (std::uint64_t l = lanes; l < 64; ++l) a_lanes[l] = b_lanes[l] = 0;
-    accumulate(metrics,
-               kernel.run(a_lanes.data(), b_lanes.data(), cin_word,
-                          lane_mask));
-    remaining -= lanes;
+        count == 64 ? ~0ULL : (1ULL << count) - 1ULL;
+    accumulate(metrics, kernel.run_packed(a_words.data(), b_words.data(),
+                                          cin_word, lane_mask));
   }
   return metrics;
 }

@@ -42,8 +42,7 @@ class BlockSlicedKernel {
     /// Numeric output (sum bits plus carry-out) differs from exact.
     std::uint64_t value_error_mask = 0;
     /// Signed error approx - exact per lane; zero outside
-    /// value_error_mask.  Written by run / run_packed, not the
-    /// constructor.
+    /// value_error_mask.  Written by run_packed, not the constructor.
     std::array<std::int64_t, 64> error;
   };
 
@@ -53,14 +52,6 @@ class BlockSlicedKernel {
                                   const std::uint64_t* b_words,
                                   std::uint64_t cin_word,
                                   std::uint64_t lane_mask) const noexcept;
-
-  /// Convenience entry for per-lane operands: transposes `a_lanes` /
-  /// `b_lanes` (64 values each, bits above width() ignored) into lane
-  /// words, then runs the packed kernel.
-  [[nodiscard]] Result run(const std::uint64_t* a_lanes,
-                           const std::uint64_t* b_lanes,
-                           std::uint64_t cin_word,
-                           std::uint64_t lane_mask) const noexcept;
 
  private:
   multibit::BlockChainSpec spec_;
@@ -75,9 +66,9 @@ inline void accumulate(ErrorMetrics& metrics,
                     result.value_error_mask, result.error);
 }
 
-/// Profile-sampled Monte Carlo sweep on the bit-sliced kernel
-/// (`samples` rounded up to full 64-lane batches).  Deterministic for a
-/// fixed seed.
+/// Profile-sampled Monte Carlo sweep on the bit-sliced kernel: samples
+/// are drawn straight into lane words (LaneSampler) and the final
+/// partial batch is lane-masked.  Deterministic for a fixed seed.
 [[nodiscard]] ErrorMetrics block_monte_carlo(
     const multibit::BlockChainSpec& spec,
     const multibit::InputProfile& profile, std::uint64_t samples,

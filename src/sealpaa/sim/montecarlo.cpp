@@ -7,6 +7,7 @@
 
 #include "sealpaa/prob/rng.hpp"
 #include "sealpaa/sim/bitsliced.hpp"
+#include "sealpaa/sim/lane_sampler.hpp"
 #include "sealpaa/util/parallel.hpp"
 #include "sealpaa/util/timer.hpp"
 
@@ -43,30 +44,25 @@ SimShard simulate_shard_scalar(const multibit::AdderChain& chain,
   return shard;
 }
 
-// Same draw order as the scalar shard, evaluated 64 samples per kernel
-// pass; the final partial batch runs with its remainder lanes masked.
+// Same draws as the scalar shard, sampled straight into lane words and
+// evaluated 64 samples per kernel pass; the final partial batch runs
+// with its remainder lanes masked.
 SimShard simulate_shard_bitsliced(const BitSlicedKernel& kernel,
                                   const multibit::InputProfile& profile,
                                   std::uint64_t samples,
                                   prob::Xoshiro256StarStar rng) {
   SimShard shard;
-  std::array<std::uint64_t, 64> a_lanes;
-  std::array<std::uint64_t, 64> b_lanes;
+  LaneSampler sampler(profile);
+  std::array<std::uint64_t, 64> a_words{};
+  std::array<std::uint64_t, 64> b_words{};
   for (std::uint64_t first = 0; first < samples; first += 64) {
     const std::uint64_t count = std::min<std::uint64_t>(64, samples - first);
-    a_lanes.fill(0);
-    b_lanes.fill(0);
-    std::uint64_t cin_word = 0;
-    for (std::uint64_t lane = 0; lane < count; ++lane) {
-      const multibit::InputProfile::Sample input = profile.sample(rng);
-      a_lanes[lane] = input.a;
-      b_lanes[lane] = input.b;
-      if (input.cin) cin_word |= 1ULL << lane;
-    }
+    const std::uint64_t cin_word =
+        sampler.draw(rng, count, a_words.data(), b_words.data());
     const std::uint64_t lane_mask =
         count == 64 ? ~0ULL : (1ULL << count) - 1ULL;
     const BitSlicedKernel::Result result =
-        kernel.run(a_lanes.data(), b_lanes.data(), cin_word, lane_mask);
+        kernel.run_packed(a_words.data(), b_words.data(), cin_word, lane_mask);
     accumulate(shard.metrics, result);
     ++shard.lane_batches;
     shard.masked_lanes += 64 - count;

@@ -67,14 +67,9 @@ double ThreadPool::Stats::total_busy_seconds() const noexcept {
   return total;
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  unsigned count = threads == 0 ? default_threads() : threads;
-  if (count == 0) count = 1;
-  workers_.reserve(count);
-  worker_busy_seconds_.assign(count, 0.0);
-  for (unsigned t = 0; t < count; ++t) {
-    workers_.emplace_back([this, t] { worker_main(t); });
-  }
+ThreadPool::ThreadPool(unsigned threads)
+    : thread_count_(std::max(1U, threads == 0 ? default_threads() : threads)) {
+  worker_busy_seconds_.assign(thread_count_, 0.0);
 }
 
 ThreadPool::~ThreadPool() {
@@ -89,6 +84,14 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    // Workers start with the first task: a pool whose fork/join regions
+    // all run inline (one worker or one chunk) never spawns a thread.
+    if (workers_.empty()) {
+      workers_.reserve(thread_count_);
+      for (unsigned t = 0; t < thread_count_; ++t) {
+        workers_.emplace_back([this, t] { worker_main(t); });
+      }
+    }
     ++pending_;
     queue_.push_back(std::move(task));
     queue_high_water_ =

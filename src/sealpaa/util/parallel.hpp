@@ -85,7 +85,9 @@ class ThreadPool {
     [[nodiscard]] double total_busy_seconds() const noexcept;
   };
 
-  /// Spawns `threads` workers (0 → `default_threads()`).
+  /// A pool of `threads` workers (0 → `default_threads()`).  The worker
+  /// threads start on the first `submit()`, so a pool that only ever
+  /// runs inline regions (see `parallel_map_reduce`) costs no thread.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -93,7 +95,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] unsigned thread_count() const noexcept {
-    return static_cast<unsigned>(workers_.size());
+    return thread_count_;
   }
 
   /// Enqueues one task.  Thread-safe.
@@ -120,7 +122,8 @@ class ThreadPool {
  private:
   void worker_main(std::size_t worker_index);
 
-  std::vector<std::thread> workers_;
+  const unsigned thread_count_;
+  std::vector<std::thread> workers_;  // empty until the first submit()
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mutex_;
   std::condition_variable task_ready_;

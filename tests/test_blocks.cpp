@@ -20,6 +20,7 @@
 #include "sealpaa/multibit/blocks.hpp"
 #include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
+#include "sealpaa/sim/bitsliced.hpp"
 #include "sealpaa/sim/block_sliced.hpp"
 
 namespace {
@@ -142,8 +143,12 @@ TEST(BlockSliced, BitIdenticalToScalarBlockAdder) {
         b_lanes[lane] = rng() & mask16;
       }
       const std::uint64_t cin_word = rng();
-      const auto result =
-          kernel.run(a_lanes.data(), b_lanes.data(), cin_word, ~0ULL);
+      std::array<std::uint64_t, 64> a_words = a_lanes;
+      std::array<std::uint64_t, 64> b_words = b_lanes;
+      sealpaa::sim::transpose64_fast(a_words);
+      sealpaa::sim::transpose64_fast(b_words);
+      const auto result = kernel.run_packed(a_words.data(), b_words.data(),
+                                            cin_word, ~0ULL);
       for (std::size_t lane = 0; lane < 64; ++lane) {
         const bool cin = ((cin_word >> lane) & 1) != 0;
         const auto approx = scalar.evaluate(a_lanes[lane], b_lanes[lane], cin);

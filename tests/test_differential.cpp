@@ -181,8 +181,12 @@ TEST(Differential, BitSlicedMatchesScalarOnRandomHybridChains) {
     // Odd trials run a partial batch to cover remainder-lane masking.
     const std::uint64_t lane_mask =
         trial % 2 == 0 ? ~0ULL : (1ULL << (1 + trial % 63)) - 1ULL;
+    std::array<std::uint64_t, 64> a_words = a_lanes;
+    std::array<std::uint64_t, 64> b_words = b_lanes;
+    sealpaa::sim::transpose64_fast(a_words);
+    sealpaa::sim::transpose64_fast(b_words);
     const BitSlicedKernel::Result result =
-        kernel.run(a_lanes.data(), b_lanes.data(), cin_word, lane_mask);
+        kernel.run_packed(a_words.data(), b_words.data(), cin_word, lane_mask);
     sealpaa::sim::accumulate(sliced_total, result);
 
     for (unsigned lane = 0; lane < 64; ++lane) {

@@ -5,9 +5,11 @@
 // only — never of the worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
@@ -72,6 +74,43 @@ TEST(ThreadPool, ZeroRequestsDefaultThreads) {
   EXPECT_EQ(sealpaa::util::default_threads(),
             sealpaa::util::hardware_threads());
 }
+
+#ifdef __linux__
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(ThreadPool, WorkersStartOnFirstSubmit) {
+  // A 1-worker region runs inline (with_pool(1, ...) is what
+  // MonteCarloSimulator::run_parallel(..., threads = 1, ...) uses), so it
+  // must not spawn a thread; a real fork/join starts every worker once.
+  // (Counts are compared while every pool is alive: a joined thread can
+  // stay listed in /proc for a moment after join() returns.)
+  const std::size_t before = live_threads();
+  const std::size_t seen = sealpaa::util::with_pool(1, [](ThreadPool& pool) {
+    return sealpaa::util::parallel_map_reduce(
+        pool, 0, 4, 1, std::size_t{0},
+        [](std::uint64_t, std::uint64_t) { return live_threads(); },
+        [](std::size_t& acc, std::size_t threads) {
+          acc = std::max(acc, threads);
+        });
+  });
+  EXPECT_LE(seen, before);
+
+  ThreadPool pool(3);
+  const std::size_t idle = live_threads();
+  EXPECT_LE(idle, before);
+  pool.submit([] {});
+  pool.wait();
+  EXPECT_EQ(live_threads(), idle + 3);
+}
+#endif
 
 TEST(ThreadPool, WorkerDetection) {
   ThreadPool pool(2);

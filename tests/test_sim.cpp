@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/adders/cell.hpp"
@@ -15,6 +17,7 @@
 #include "sealpaa/sim/bitsliced.hpp"
 #include "sealpaa/sim/exhaustive.hpp"
 #include "sealpaa/sim/kernel.hpp"
+#include "sealpaa/sim/lane_sampler.hpp"
 #include "sealpaa/sim/metrics.hpp"
 #include "sealpaa/sim/montecarlo.hpp"
 
@@ -31,6 +34,7 @@ using sealpaa::sim::ErrorMetrics;
 using sealpaa::sim::ExhaustiveSimulator;
 using sealpaa::sim::Kernel;
 using sealpaa::sim::kLaneCounterBit;
+using sealpaa::sim::LaneSampler;
 using sealpaa::sim::MonteCarloSimulator;
 using sealpaa::sim::SlicedLut;
 using sealpaa::sim::transpose64;
@@ -470,6 +474,27 @@ TEST(MonteCarloParallel, SingleThreadEqualsSerial) {
             parallel.metrics.stage_failures());
 }
 
+TEST(MonteCarloParallel, SingleThreadKeepsShardTimingShape) {
+  // A 1-thread run executes its shards inline on the calling thread; the
+  // timings still report one worker and one entry per 2^16-sample shard,
+  // in shard order, and the metrics match a multi-thread run.
+  const InputProfile profile = InputProfile::uniform(6, 0.4);
+  const AdderChain chain = AdderChain::homogeneous(lpaa(1), 6);
+  const std::uint64_t samples = 2 * (1ULL << 16) + 100;
+  const auto one =
+      MonteCarloSimulator::run_parallel(chain, profile, samples, 1, 5);
+  const auto three =
+      MonteCarloSimulator::run_parallel(chain, profile, samples, 3, 5);
+  EXPECT_EQ(one.shard_timings.threads, 1u);
+  ASSERT_EQ(one.shard_timings.shards.size(), 3u);
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(one.shard_timings.shards[s].shard, s);
+    EXPECT_EQ(one.shard_timings.shards[s].items, 1u);
+  }
+  EXPECT_EQ(three.shard_timings.threads, 3u);
+  expect_metrics_identical(one.metrics, three.metrics);
+}
+
 TEST(MonteCarloParallel, OddSampleCountsFullyAccounted) {
   const InputProfile profile = InputProfile::uniform(4, 0.5);
   const AdderChain chain = AdderChain::homogeneous(lpaa(2), 4);
@@ -563,6 +588,123 @@ TEST(MonteCarloParallel, KernelsIdenticalAcrossThreadCounts) {
   }
 }
 
+// Edge probabilities for the integer-threshold Bernoulli: never, always,
+// a power of two, the smallest subnormal, and the doubles just below 1 and
+// just above 1/2.
+std::vector<double> edge_probabilities() {
+  return {0.0, 1.0, 0.5, 5e-324, std::nextafter(1.0, 0.0),
+          std::nextafter(0.5, 1.0)};
+}
+
+TEST(LaneSampler, ThresholdDecidesExactlyLikeUniform01) {
+  // u < threshold must hold exactly when u * 2^-53 < p; checking the two
+  // integers on either side of the threshold covers every u.
+  sealpaa::prob::Xoshiro256StarStar rng(0x7e5);
+  std::vector<double> ps = edge_probabilities();
+  for (int i = 0; i < 200; ++i) ps.push_back(rng.uniform01());
+  for (const double p : ps) {
+    const std::uint64_t t = sealpaa::sim::bernoulli_threshold(p);
+    ASSERT_LE(t, 1ULL << 53) << p;
+    if (t > 0) {
+      EXPECT_LT(static_cast<double>(t - 1) * 0x1.0p-53, p) << p;
+    }
+    if (t < (1ULL << 53)) {
+      EXPECT_FALSE(static_cast<double>(t) * 0x1.0p-53 < p) << p;
+    }
+  }
+  EXPECT_EQ(sealpaa::sim::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(sealpaa::sim::bernoulli_threshold(1.0), 1ULL << 53);
+  EXPECT_EQ(sealpaa::sim::bernoulli_threshold(5e-324), 1u);
+}
+
+TEST(LaneSampler, MatchesInputProfileSampleDrawForDraw) {
+  // The sampler must reproduce InputProfile::sample exactly: the same
+  // operand bits in every lane, zero lanes past `count`, and the
+  // generator left in the same state.  Two consecutive batches check that
+  // no lane word leaks from one draw into the next.
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0x1a4e);
+  const std::vector<double> edges = edge_probabilities();
+  for (const std::size_t n : {1u, 2u, 16u, 33u, 63u}) {
+    std::vector<double> pa(n);
+    std::vector<double> pb(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pa[i] = edges[i % edges.size()];
+      pb[i] = edges[(i + 3) % edges.size()];
+    }
+    const InputProfile profiles[] = {
+        InputProfile::random(n, profile_rng),
+        InputProfile(pa, pb, edges[n % edges.size()]),
+        InputProfile::uniform(n, 0.3),
+    };
+    for (const InputProfile& profile : profiles) {
+      LaneSampler sampler(profile);
+      ASSERT_EQ(sampler.width(), n);
+      for (const std::uint64_t count : {1u, 63u, 64u}) {
+        sealpaa::prob::Xoshiro256StarStar sliced_rng(n * 1000 + count);
+        sealpaa::prob::Xoshiro256StarStar scalar_rng(n * 1000 + count);
+        for (int batch = 0; batch < 2; ++batch) {
+          std::array<std::uint64_t, 64> a_words;
+          std::array<std::uint64_t, 64> b_words;
+          const std::uint64_t cin_word =
+              sampler.draw(sliced_rng, count, a_words.data(), b_words.data());
+          for (std::uint64_t lane = 0; lane < 64; ++lane) {
+            InputProfile::Sample expected;
+            if (lane < count) expected = profile.sample(scalar_rng);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ((a_words[i] >> lane) & 1ULL, (expected.a >> i) & 1ULL)
+                  << "n=" << n << " count=" << count << " lane " << lane
+                  << " a bit " << i;
+              ASSERT_EQ((b_words[i] >> lane) & 1ULL, (expected.b >> i) & 1ULL)
+                  << "n=" << n << " count=" << count << " lane " << lane
+                  << " b bit " << i;
+            }
+            ASSERT_EQ(((cin_word >> lane) & 1ULL) != 0, expected.cin)
+                << "n=" << n << " count=" << count << " lane " << lane;
+          }
+          ASSERT_EQ(sliced_rng.next(), scalar_rng.next())
+              << "n=" << n << " count=" << count;
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneSampler, DrawEqualToThresholdIsFalse) {
+  // Each probability is set to u * 2^-53 for the very draw u that decides
+  // it, so every comparison lands exactly on its threshold, where
+  // uniform01() < p is false.
+  for (const std::size_t n : {1u, 16u, 63u}) {
+    const std::uint64_t seed = 0xb0dULL + n;
+    sealpaa::prob::Xoshiro256StarStar peek(seed);
+    const auto next_p = [&peek] {
+      return static_cast<double>(peek.next() >> 11) * 0x1.0p-53;
+    };
+    std::vector<double> pa(n);
+    std::vector<double> pb(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pa[i] = next_p();
+      pb[i] = next_p();
+    }
+    const InputProfile profile(pa, pb, next_p());
+    sealpaa::prob::Xoshiro256StarStar scalar_rng(seed);
+    const InputProfile::Sample expected = profile.sample(scalar_rng);
+    EXPECT_EQ(expected.a, 0u);
+    EXPECT_EQ(expected.b, 0u);
+    EXPECT_FALSE(expected.cin);
+
+    LaneSampler sampler(profile);
+    sealpaa::prob::Xoshiro256StarStar sliced_rng(seed);
+    std::array<std::uint64_t, 64> a_words;
+    std::array<std::uint64_t, 64> b_words;
+    EXPECT_EQ(sampler.draw(sliced_rng, 1, a_words.data(), b_words.data()),
+              0u);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(a_words[i], 0u) << "n=" << n << " a bit " << i;
+      EXPECT_EQ(b_words[i], 0u) << "n=" << n << " b bit " << i;
+    }
+  }
+}
+
 TEST(BitSliced, Width63BoundaryMatchesScalar) {
   // 63 bits is the widest chain AdderChain accepts; the carry-out lands
   // on bit 63 of the value, so signed errors exercise the int64
@@ -581,8 +723,12 @@ TEST(BitSliced, Width63BoundaryMatchesScalar) {
       b_lanes[lane] = rng.next() >> 1;
       if ((rng.next() & 1ULL) != 0) cin_word |= 1ULL << lane;
     }
+    std::array<std::uint64_t, 64> a_words = a_lanes;
+    std::array<std::uint64_t, 64> b_words = b_lanes;
+    transpose64_fast(a_words);
+    transpose64_fast(b_words);
     const BitSlicedKernel::Result result =
-        kernel.run(a_lanes.data(), b_lanes.data(), cin_word, ~0ULL);
+        kernel.run_packed(a_words.data(), b_words.data(), cin_word, ~0ULL);
 
     ErrorMetrics batched;
     sealpaa::sim::accumulate(batched, result);
@@ -633,8 +779,10 @@ TEST(BitSliced, AccurateChainAtFullWidthHasNoErrors) {
     a_lanes[lane] = rng.next() >> 1;
     b_lanes[lane] = rng.next() >> 1;
   }
-  const auto result =
-      kernel.run(a_lanes.data(), b_lanes.data(), kLaneCounterBit[0], ~0ULL);
+  transpose64_fast(a_lanes);
+  transpose64_fast(b_lanes);
+  const auto result = kernel.run_packed(a_lanes.data(), b_lanes.data(),
+                                        kLaneCounterBit[0], ~0ULL);
   EXPECT_EQ(result.value_error_mask, 0u);
   EXPECT_EQ(result.stage_fail_mask, 0u);
   EXPECT_EQ(result.sum_bits_error_mask, 0u);
