@@ -16,9 +16,14 @@
 //                      run's incumbent and every search counter.
 // Wall-clock numbers (speedup_vs_exhaustive_*, thread_scaling_8t) are
 // reported for the regression gate; the scaling key is informational.
-// ns_per_node_* is the absolute cost of the 1-thread search: its best
-// wall time divided by nodes_expanded (the explore.ns_per_node
-// definition of the repository benchmark).
+// exhaustive() is the same DFS with the bound and the beam seed off, so
+// speedup_vs_exhaustive_* measures what pruning and seeding save on one
+// search skeleton.  Because that ratio moves with its baseline, both
+// sides also report an absolute cost: ns_per_node_* is the 1-thread
+// search's best wall time divided by nodes_expanded (the
+// explore.ns_per_node definition of the repository benchmark), and
+// exhaustive_ns_per_design_* is the 1-thread exhaustive run's best wall
+// time divided by the designs it scored.
 //
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in BENCH_bnb.json next
@@ -192,10 +197,16 @@ int main(int argc, char** argv) {
           bnb_seconds * 1e9 /
           static_cast<double>(
               std::max<std::uint64_t>(bnb.design.stats.nodes_expanded, 1));
+      const double exhaustive_ns_per_design =
+          exhaustive_seconds * 1e9 /
+          static_cast<double>(
+              std::max<std::uint64_t>(exact.stats.candidates_evaluated, 1));
 
       std::cout << "  " << name << " w" << leg.width << ":  exhaustive "
                 << util::duration(exhaustive_seconds) << " ("
-                << exact.stats.candidates_evaluated << " designs)  bnb "
+                << exact.stats.candidates_evaluated << " designs, "
+                << util::fixed(exhaustive_ns_per_design, 0)
+                << " ns/design)  bnb "
                 << util::duration(bnb_seconds) << " ("
                 << bnb.design.stats.nodes_expanded << " expanded, "
                 << bnb.design.stats.candidates_evaluated << " scored)  "
@@ -210,6 +221,8 @@ int main(int argc, char** argv) {
       section.set("bound_cutoffs_" + name,
                   obs::Json(bnb.design.stats.bound_cutoffs));
       section.set("ns_per_node_" + name, obs::Json(ns_per_node));
+      section.set("exhaustive_ns_per_design_" + name,
+                  obs::Json(exhaustive_ns_per_design));
     }
 
     // Parallel-scaling leg: the widest err search at 1 vs 8 workers must

@@ -2,9 +2,10 @@
 // an optional power budget, search for the best per-stage mix of LPAA
 // cells (the use-case the paper's §5 motivates).
 //
-// The search runs on the engine layer: the exhaustive optimizer walks a
-// DFS over engine::IncrementalAnalyzer, and the beam fallback scores
-// expansions through engine::ChainEvaluator's prefix cache.  The winner
+// The exhaustive optimizer is the branch-and-bound DFS with its bound
+// switched off (per-depth carry frames, every design scored), and the
+// beam fallback scores expansions through engine::ChainEvaluator's
+// prefix cache.  The winner
 // is re-checked through engine::evaluate — the same uniform entry point
 // the CLI's --method flag uses — and the search/cache counters are
 // printed (and reported as JSON) so the prefix reuse is visible.

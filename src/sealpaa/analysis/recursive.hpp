@@ -69,7 +69,8 @@ class RecursiveAnalyzer {
 };
 
 /// Advances the carry state through one stage (Equations 10-11).  Exposed
-/// so composed analyses (GeAr sub-blocks, incremental DSE) can reuse it.
+/// so composed analyses (GeAr sub-blocks, the DSE search frames) can reuse
+/// it.
 [[nodiscard]] CarryState advance_stage(const MklMatrices& mkl, double p_a,
                                        double p_b, const CarryState& carry,
                                        util::OpCounter* counter = nullptr);

@@ -1,6 +1,7 @@
 #include "sealpaa/explore/branch_bound.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <limits>
@@ -12,7 +13,6 @@
 #include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/analysis/recursive.hpp"
-#include "sealpaa/engine/incremental.hpp"  // MklCache::key_of fingerprints
 #include "sealpaa/explore/detail.hpp"
 #include "sealpaa/util/parallel.hpp"
 
@@ -26,7 +26,7 @@ namespace {
 // leaf score it bounds, so a mathematically-tied completion could land
 // epsilon past the computed bound.  Pruning only beyond the slack keeps
 // every tie explored, which is what makes the (score, min index)
-// incumbent bit-identical to the exhaustive DFS.
+// incumbent bit-identical to the unpruned search (exhaustive()).
 constexpr double kErrBoundSlack = 1e-12;
 constexpr double kPmfBoundSlack = 1e-9;
 
@@ -41,9 +41,23 @@ std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) noexcept {
   return a > kSatMax / b ? kSatMax : a * b;
 }
 
+/// 16-bit truth-table fingerprint of a palette cell — the checkpoint's
+/// `palette` entries: bit r is row r's sum, bit 8+r is row r's
+/// carry-out.  Cells with equal fingerprints are the same cell for the
+/// search (names are irrelevant to the arithmetic).
+std::uint16_t palette_key(const adders::AdderCell& cell) noexcept {
+  std::uint16_t key = 0;
+  const adders::AdderCell::Rows& rows = cell.rows();
+  for (std::size_t r = 0; r < adders::AdderCell::kRows; ++r) {
+    if (rows[r].sum) key |= static_cast<std::uint16_t>(1u << r);
+    if (rows[r].carry) key |= static_cast<std::uint16_t>(1u << (8 + r));
+  }
+  return key;
+}
+
 /// (score, historical index) incumbent order — "better score, or equal
-/// score and lower index", exactly the exhaustive DFS rule.  A total
-/// order, so folding candidates in any schedule yields the same winner.
+/// score and lower index".  A total order, so folding candidates in any
+/// schedule yields the same winner.
 bool improves(bool found, double best_score, std::uint64_t best_index,
               double score, std::uint64_t index, bool maximize) noexcept {
   if (!found) return true;
@@ -94,6 +108,7 @@ struct Ctx {
   const DesignConstraints& constraints;
   Objective objective = Objective::kErrorRate;
   bool maximize = true;  // err maximizes success; med/mse minimize
+  bool prune = true;     // false: exhaustive(), every leaf is scored
   std::size_t n = 0;
   std::size_t k = 0;
   std::size_t split_depth = 0;
@@ -210,7 +225,7 @@ BnbCheckpoint build_checkpoint_locked(const Ctx& ctx, const Shared& shared) {
   ckpt.width = ctx.n;
   ckpt.palette.reserve(ctx.k);
   for (const adders::AdderCell& cell : ctx.candidates) {
-    ckpt.palette.push_back(engine::MklCache::key_of(cell));
+    ckpt.palette.push_back(palette_key(cell));
   }
   ckpt.p_a = ctx.profile.all_p_a();
   ckpt.p_b = ctx.profile.all_p_b();
@@ -240,7 +255,7 @@ void validate_checkpoint(const Ctx& ctx, const BnbCheckpoint& ckpt) {
   if (ckpt.width != ctx.n) fail("width");
   if (ckpt.palette.size() != ctx.k) fail("palette size");
   for (std::size_t c = 0; c < ctx.k; ++c) {
-    if (ckpt.palette[c] != engine::MklCache::key_of(ctx.candidates[c])) {
+    if (ckpt.palette[c] != palette_key(ctx.candidates[c])) {
       fail("palette cell");
     }
   }
@@ -404,8 +419,8 @@ class Worker {
       rest /= ctx_.k;
     }
     // Constraint screen over the fixed prefix, left to right — the same
-    // running-sum order as the exhaustive odometer, so the rejected leaf
-    // set is bit-identical.
+    // running-sum order as a fresh per-design accumulation, so the
+    // rejected leaf set is exactly the designs over budget.
     double power = 0.0;
     double area = 0.0;
     bool rejected = false;
@@ -455,7 +470,7 @@ class Worker {
 
   void dfs(std::uint64_t prefix_index, double power, double area) {
     const std::size_t d = choices_.size();
-    if (inc_found_ && prunable(frames_.bound(d))) {
+    if (ctx_.prune && inc_found_ && prunable(frames_.bound(d))) {
       ++unit_stats_.bound_cutoffs;
       unit_stats_.nodes_pruned =
           sat_add(unit_stats_.nodes_pruned, ctx_.leaves_below[d]);
@@ -588,10 +603,10 @@ void seed_incumbent(const Ctx& ctx, Shared& shared,
   std::vector<std::size_t> choices;
   choices.reserve(ctx.n);
   for (const adders::AdderCell& cell : seed.stages) {
-    const std::uint16_t key = engine::MklCache::key_of(cell);
+    const std::uint16_t key = palette_key(cell);
     std::size_t found = ctx.k;
     for (std::size_t c = 0; c < ctx.k; ++c) {
-      if (engine::MklCache::key_of(ctx.candidates[c]) == key) {
+      if (palette_key(ctx.candidates[c]) == key) {
         found = c;
         break;
       }
@@ -615,17 +630,22 @@ void seed_incumbent(const Ctx& ctx, Shared& shared,
   shared.incumbent.choices = std::move(choices);
 }
 
+/// The one search behind optimize(), resume() and exhaustive().  With
+/// `use_bound` false nothing is cut and no incumbent is seeded, so every
+/// design is either rejected by the constraints or scored: exhaustive
+/// enumeration on the same frames, unit split and tie rule.
 BnbResult run_search(const multibit::InputProfile& profile,
                      std::span<const adders::AdderCell> candidates,
                      const DesignConstraints& constraints,
                      Objective objective, const BnbOptions& options,
-                     const BnbCheckpoint* from) {
+                     const BnbCheckpoint* from, bool use_bound) {
   detail::require_candidates(candidates);
   if (candidates.size() > 255) {
     throw std::invalid_argument(
         "BranchBoundOptimizer: more than 255 candidate cells");
   }
-  const Ctx ctx = make_ctx(profile, candidates, constraints, objective);
+  Ctx ctx = make_ctx(profile, candidates, constraints, objective);
+  ctx.prune = use_bound;
   Shared shared;
   shared.unit_done.assign(ctx.units, 0);
   if (from != nullptr) {
@@ -641,7 +661,7 @@ BnbResult run_search(const multibit::InputProfile& profile,
       }
     }
     shared.stats = from->stats;
-  } else {
+  } else if (use_bound) {
     seed_incumbent(ctx, shared, options);
   }
 
@@ -714,7 +734,7 @@ BnbResult BranchBoundOptimizer::optimize(
     const DesignConstraints& constraints, Objective objective,
     const BnbOptions& options) {
   return run_search(profile, candidates, constraints, objective, options,
-                    nullptr);
+                    nullptr, /*use_bound=*/true);
 }
 
 BnbResult BranchBoundOptimizer::resume(
@@ -723,7 +743,26 @@ BnbResult BranchBoundOptimizer::resume(
     const BnbCheckpoint& checkpoint, const DesignConstraints& constraints,
     Objective objective, const BnbOptions& options) {
   return run_search(profile, candidates, constraints, objective, options,
-                    &checkpoint);
+                    &checkpoint, /*use_bound=*/true);
+}
+
+HybridDesign HybridOptimizer::exhaustive(
+    const multibit::InputProfile& profile,
+    std::span<const adders::AdderCell> candidates,
+    const DesignConstraints& constraints, std::uint64_t max_combinations,
+    unsigned threads, Objective objective) {
+  const double combos =
+      std::pow(static_cast<double>(candidates.size()),
+               static_cast<double>(profile.width()));
+  if (combos > static_cast<double>(max_combinations)) {
+    throw std::invalid_argument(
+        "HybridOptimizer::exhaustive: search space too large; use beam()");
+  }
+  BnbOptions options;
+  options.threads = threads;
+  return run_search(profile, candidates, constraints, objective, options,
+                    nullptr, /*use_bound=*/false)
+      .design;
 }
 
 HybridDesign HybridOptimizer::branch_bound(

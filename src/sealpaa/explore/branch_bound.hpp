@@ -22,13 +22,16 @@
 // Pruning is *strict only*: a subtree is cut when its bound — widened by
 // a small relative slack absorbing floating-point non-monotonicity —
 // cannot beat the incumbent, and bound ties are always explored.  The
-// incumbent is the pair (score, historical design index) under the same
-// "better score, or equal score and lower index" rule the exhaustive DFS
-// uses, a total order whose fold is order-independent, so the final
-// design is identical to exhaustive() and independent of the thread
-// count and of the work-stealing schedule.  (The index saturates for
-// spaces beyond 2^64 designs; within the exhaustively checkable regime
-// it is always exact.)
+// incumbent is the pair (score, historical design index) under the rule
+// "better score, or equal score and lower index", a total order whose
+// fold is order-independent, so the final design is identical to the
+// unpruned search and independent of the thread count and of the
+// work-stealing schedule.  (The index saturates for spaces beyond 2^64
+// designs; within the exhaustively checkable regime it is always exact.)
+// HybridOptimizer::exhaustive() is this same search with the bound and
+// the beam seed switched off, so pruning and seeding are checked against
+// it, and the shared skeleton against an independent brute-force loop
+// in the tests.
 //
 // Search state lives in the DFS frame, not in a cache: each worker keeps
 // one state per depth (the carry state for err, the joint error-PMF
@@ -79,8 +82,8 @@ struct BnbCheckpoint {
   std::string objective;
   std::size_t width = 0;
   /// 16-bit truth-table fingerprints of the candidate palette, in
-  /// palette order (engine::MklCache::key_of).  resume() refuses a
-  /// checkpoint whose palette does not match.
+  /// palette order: bit r is row r's sum, bit 8+r its carry-out.
+  /// resume() refuses a checkpoint whose palette does not match.
   std::vector<std::uint16_t> palette;
   /// The input profile the search ran under (validated on resume).
   std::vector<double> p_a;

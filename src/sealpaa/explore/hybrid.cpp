@@ -1,15 +1,12 @@
 #include "sealpaa/explore/hybrid.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "sealpaa/adders/characteristics.hpp"
 #include "sealpaa/engine/chain_evaluator.hpp"
-#include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/engine/method.hpp"
 #include "sealpaa/explore/detail.hpp"
-#include "sealpaa/util/parallel.hpp"
 
 namespace sealpaa::explore {
 
@@ -116,350 +113,6 @@ Objective parse_objective(std::string_view name) {
   if (name == "mse") return Objective::kMse;
   throw std::invalid_argument("unknown objective '" + std::string(name) +
                               "' (valid: err, med, mse)");
-}
-
-HybridDesign HybridOptimizer::exhaustive(
-    const multibit::InputProfile& profile,
-    std::span<const adders::AdderCell> candidates,
-    const DesignConstraints& constraints, std::uint64_t max_combinations,
-    unsigned threads, Objective objective) {
-  require_candidates(candidates);
-  const std::size_t n = profile.width();
-  const std::uint64_t k = candidates.size();
-  const double combos =
-      std::pow(static_cast<double>(k), static_cast<double>(n));
-  if (combos > static_cast<double>(max_combinations)) {
-    throw std::invalid_argument(
-        "HybridOptimizer::exhaustive: search space too large; use beam()");
-  }
-  std::uint64_t total = 1;
-  for (std::size_t i = 0; i < n; ++i) total *= k;
-
-  std::vector<CellCost> costs;
-  std::vector<analysis::MklMatrices> mkls;
-  std::vector<bool> cell_usable;
-  std::vector<double> power_of;  // 0.0 placeholder for unusable cells
-  std::vector<double> area_of;
-  costs.reserve(candidates.size());
-  mkls.reserve(candidates.size());
-  cell_usable.reserve(candidates.size());
-  power_of.reserve(candidates.size());
-  area_of.reserve(candidates.size());
-  for (const adders::AdderCell& cell : candidates) {
-    const CellCost cost = cost_of(cell);
-    costs.push_back(cost);
-    mkls.push_back(analysis::MklMatrices::from_cell(cell));
-    const bool ok = usable(cost, constraints);
-    cell_usable.push_back(ok);
-    power_of.push_back(ok && cost.power ? *cost.power : 0.0);
-    area_of.push_back(ok && cost.area ? *cost.area : 0.0);
-  }
-  const bool track_power = constraints.max_power_nw.has_value();
-  const bool track_area = constraints.max_area_ge.has_value();
-
-  // Historical design index (mixed radix k, stage 0 the least-significant
-  // digit), kept as the explicit tie-break key so the reported winner is
-  // the same design the sequential stage-0-fastest odometer would have
-  // found first — independent of the walk order and the thread count.
-  std::vector<std::uint64_t> pow_k(n);
-  {
-    std::uint64_t p = 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      pow_k[i] = p;
-      p *= k;
-    }
-  }
-
-  // PMF-ranked objectives run the same odometer walk but push whole
-  // cells (the PMF advance needs the sum column, which the M/K/L
-  // matrices do not carry) and score each leaf by the finalized prefix
-  // PMF's metric.  The err objective keeps its historical matrices-only
-  // walk below, untouched — its results stay bit-identical.
-  if (objective != Objective::kErrorRate) {
-    struct BestMetric {
-      double metric = 0.0;
-      std::uint64_t index = 0;  // historical stage-0-fastest design index
-      bool found = false;
-      std::uint64_t evaluated = 0;
-      std::uint64_t rejected = 0;
-      std::uint64_t stages = 0;  // PMF stage advances performed
-    };
-    const std::uint64_t grain = std::max<std::uint64_t>(1, total / 64);
-    const BestMetric best = util::with_pool(threads, [&](util::ThreadPool&
-                                                             pool) {
-      return util::parallel_map_reduce(
-          pool, 0, total, grain, BestMetric{},
-          [&](std::uint64_t index_begin, std::uint64_t index_end) {
-            BestMetric shard;
-            std::vector<std::size_t> choice(n);
-            {
-              std::uint64_t rest = index_begin;
-              for (std::size_t i = n; i-- > 0;) {
-                choice[i] = static_cast<std::size_t>(rest % k);
-                rest /= k;
-              }
-            }
-            std::uint64_t orig_index = 0;
-            std::size_t unusable_stages = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-              orig_index += static_cast<std::uint64_t>(choice[i]) * pow_k[i];
-              if (!cell_usable[choice[i]]) ++unusable_stages;
-            }
-            std::vector<double> power_pre(n + 1, 0.0);
-            std::vector<double> area_pre(n + 1, 0.0);
-            const auto rebuild_budgets = [&](std::size_t from) {
-              if (track_power) {
-                for (std::size_t i = from; i < n; ++i) {
-                  power_pre[i + 1] = power_pre[i] + power_of[choice[i]];
-                }
-              }
-              if (track_area) {
-                for (std::size_t i = from; i < n; ++i) {
-                  area_pre[i + 1] = area_pre[i] + area_of[choice[i]];
-                }
-              }
-            };
-            rebuild_budgets(0);
-
-            engine::IncrementalAnalyzer inc(profile);
-            inc.enable_pmf_tracking();
-            for (std::size_t i = 0; i + 1 < n; ++i) {
-              inc.push_stage(candidates[choice[i]]);
-              ++shard.stages;
-            }
-
-            for (std::uint64_t index = index_begin; index < index_end;
-                 ++index) {
-              bool reject = unusable_stages > 0;
-              if (!reject && track_power &&
-                  power_pre[n] > *constraints.max_power_nw) {
-                reject = true;
-              }
-              if (!reject && track_area &&
-                  area_pre[n] > *constraints.max_area_ge) {
-                reject = true;
-              }
-              if (reject) {
-                ++shard.rejected;
-              } else {
-                ++shard.evaluated;
-                inc.push_stage(candidates[choice[n - 1]]);
-                ++shard.stages;
-                const double metric = pmf_metric(inc.error_pmf(), objective);
-                inc.pop();
-                if (!shard.found || metric < shard.metric ||
-                    (metric == shard.metric && orig_index < shard.index)) {
-                  shard.metric = metric;
-                  shard.index = orig_index;
-                  shard.found = true;
-                }
-              }
-              if (index + 1 == index_end) break;
-
-              std::size_t pos = n;
-              for (;;) {
-                --pos;
-                if (!cell_usable[choice[pos]]) --unusable_stages;
-                if (choice[pos] + 1 < k) {
-                  ++choice[pos];
-                  orig_index += pow_k[pos];
-                  if (!cell_usable[choice[pos]]) ++unusable_stages;
-                  break;
-                }
-                choice[pos] = 0;
-                orig_index -= (k - 1) * pow_k[pos];
-                if (!cell_usable[choice[pos]]) ++unusable_stages;
-              }
-              rebuild_budgets(pos);
-              if (pos + 1 < n) {
-                inc.rewind(pos);
-                for (std::size_t i = pos; i + 1 < n; ++i) {
-                  inc.push_stage(candidates[choice[i]]);
-                  ++shard.stages;
-                }
-              }
-            }
-            return shard;
-          },
-          [](BestMetric& acc, BestMetric&& shard) {
-            acc.evaluated += shard.evaluated;
-            acc.rejected += shard.rejected;
-            acc.stages += shard.stages;
-            if (shard.found &&
-                (!acc.found || shard.metric < acc.metric ||
-                 (shard.metric == acc.metric && shard.index < acc.index))) {
-              acc.metric = shard.metric;
-              acc.index = shard.index;
-              acc.found = true;
-            }
-          });
-    });
-
-    if (!best.found) {
-      throw std::runtime_error(
-          "HybridOptimizer::exhaustive: no design satisfies the constraints");
-    }
-    std::vector<adders::AdderCell> stages;
-    stages.reserve(n);
-    std::uint64_t rest = best.index;
-    for (std::size_t i = 0; i < n; ++i) {
-      stages.push_back(candidates[static_cast<std::size_t>(rest % k)]);
-      rest /= k;
-    }
-    HybridDesign design = finalize(std::move(stages), profile, objective);
-    design.stats.candidates_evaluated = best.evaluated;
-    design.stats.candidates_rejected = best.rejected;
-    design.stats.stages_computed = best.stages;
-    return design;
-  }
-
-  struct BestDesign {
-    double p_success = -1.0;
-    std::uint64_t index = 0;  // historical stage-0-fastest design index
-    bool found = false;
-    std::uint64_t evaluated = 0;  // designs scored by the recursion
-    std::uint64_t rejected = 0;   // designs pruned by the constraints
-    std::uint64_t stages = 0;     // advance_stage calls performed
-  };
-
-  // The walk enumerates designs with stage n-1 as the *fastest* digit, so
-  // consecutive designs differ only in a suffix and the shared prefix
-  // stays pushed on the incremental analyzer — amortized O(1) stage
-  // advances per design instead of O(N).
-  const std::uint64_t grain = std::max<std::uint64_t>(1, total / 64);
-  const BestDesign best = util::with_pool(threads, [&](util::ThreadPool&
-                                                           pool) {
-    return util::parallel_map_reduce(
-        pool, 0, total, grain, BestDesign{},
-        [&](std::uint64_t index_begin, std::uint64_t index_end) {
-          BestDesign shard;
-          std::vector<std::size_t> choice(n);
-          {
-            std::uint64_t rest = index_begin;
-            for (std::size_t i = n; i-- > 0;) {
-              choice[i] = static_cast<std::size_t>(rest % k);
-              rest /= k;
-            }
-          }
-          std::uint64_t orig_index = 0;
-          std::size_t unusable_stages = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            orig_index += static_cast<std::uint64_t>(choice[i]) * pow_k[i];
-            if (!cell_usable[choice[i]]) ++unusable_stages;
-          }
-          // Running budget prefix sums: *_pre[i] covers stages [0, i).
-          // Rebuilt from the first changed stage on every odometer step,
-          // left to right — the same summation order as a fresh per-design
-          // accumulation, so rejection decisions are bit-identical to the
-          // historical per-chain loop.
-          std::vector<double> power_pre(n + 1, 0.0);
-          std::vector<double> area_pre(n + 1, 0.0);
-          const auto rebuild_budgets = [&](std::size_t from) {
-            if (track_power) {
-              for (std::size_t i = from; i < n; ++i) {
-                power_pre[i + 1] = power_pre[i] + power_of[choice[i]];
-              }
-            }
-            if (track_area) {
-              for (std::size_t i = from; i < n; ++i) {
-                area_pre[i + 1] = area_pre[i] + area_of[choice[i]];
-              }
-            }
-          };
-          rebuild_budgets(0);
-
-          engine::IncrementalAnalyzer inc(profile);
-          for (std::size_t i = 0; i + 1 < n; ++i) {
-            inc.push_stage(mkls[choice[i]]);
-            ++shard.stages;
-          }
-
-          for (std::uint64_t index = index_begin; index < index_end;
-               ++index) {
-            bool reject = unusable_stages > 0;
-            if (!reject && track_power &&
-                power_pre[n] > *constraints.max_power_nw) {
-              reject = true;
-            }
-            if (!reject && track_area &&
-                area_pre[n] > *constraints.max_area_ge) {
-              reject = true;
-            }
-            if (reject) {
-              ++shard.rejected;
-            } else {
-              ++shard.evaluated;
-              const double p_success =
-                  inc.final_success_with(mkls[choice[n - 1]]);
-              if (!shard.found || p_success > shard.p_success ||
-                  (p_success == shard.p_success &&
-                   orig_index < shard.index)) {
-                shard.p_success = p_success;
-                shard.index = orig_index;
-                shard.found = true;
-              }
-            }
-            if (index + 1 == index_end) break;
-
-            // Odometer step, stage n-1 fastest; `pos` ends at the most
-            // significant changed stage.
-            std::size_t pos = n;
-            for (;;) {
-              --pos;
-              if (!cell_usable[choice[pos]]) --unusable_stages;
-              if (choice[pos] + 1 < k) {
-                ++choice[pos];
-                orig_index += pow_k[pos];
-                if (!cell_usable[choice[pos]]) ++unusable_stages;
-                break;
-              }
-              choice[pos] = 0;
-              orig_index -= (k - 1) * pow_k[pos];
-              if (!cell_usable[choice[pos]]) ++unusable_stages;
-            }
-            rebuild_budgets(pos);
-            if (pos + 1 < n) {
-              inc.rewind(pos);
-              for (std::size_t i = pos; i + 1 < n; ++i) {
-                inc.push_stage(mkls[choice[i]]);
-                ++shard.stages;
-              }
-            }
-          }
-          return shard;
-        },
-        [](BestDesign& acc, BestDesign&& shard) {
-          acc.evaluated += shard.evaluated;
-          acc.rejected += shard.rejected;
-          acc.stages += shard.stages;
-          if (shard.found &&
-              (!acc.found || shard.p_success > acc.p_success ||
-               (shard.p_success == acc.p_success &&
-                shard.index < acc.index))) {
-            acc.p_success = shard.p_success;
-            acc.index = shard.index;
-            acc.found = true;
-          }
-        });
-  });
-
-  if (!best.found) {
-    throw std::runtime_error(
-        "HybridOptimizer::exhaustive: no design satisfies the constraints");
-  }
-  std::vector<adders::AdderCell> stages;
-  stages.reserve(n);
-  std::uint64_t rest = best.index;
-  for (std::size_t i = 0; i < n; ++i) {
-    stages.push_back(candidates[static_cast<std::size_t>(rest % k)]);
-    rest /= k;
-  }
-  HybridDesign design = finalize(std::move(stages), profile,
-                                 Objective::kErrorRate);
-  design.stats.candidates_evaluated = best.evaluated;
-  design.stats.candidates_rejected = best.rejected;
-  design.stats.stages_computed = best.stages;
-  return design;
 }
 
 HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,

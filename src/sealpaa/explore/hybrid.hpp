@@ -50,8 +50,8 @@ enum class Objective {
 /// in an obs::ScopedTimer so DSE timings land in the run-report through
 /// the same channel as every other phase.
 struct SearchStats {
-  /// Complete designs scored (exhaustive) or partial expansions
-  /// considered (beam/greedy).
+  /// Complete designs scored (exhaustive, branch-and-bound) or partial
+  /// expansions considered (beam/greedy).
   std::uint64_t candidates_evaluated = 0;
   /// Candidates discarded by power/area constraints before scoring.
   std::uint64_t candidates_rejected = 0;
@@ -64,10 +64,11 @@ struct SearchStats {
   /// Stage advances actually performed (advance_stage, or
   /// advance_error_pmf for the PMF-ranked objectives).  Without prefix
   /// reuse this would be ~candidates_evaluated * width; the ratio is the
-  /// measured benefit of the incremental engine.  For branch-and-bound
-  /// it counts DFS frame advances: one per child pushed, per PMF leaf
-  /// scored and per stage of each unit's fixed prefix — deterministic
-  /// single-threaded, so a resumed run reproduces it exactly.
+  /// measured benefit of prefix reuse.  For branch-and-bound and
+  /// exhaustive it counts DFS frame advances: one per child pushed, per
+  /// PMF leaf scored and per stage of each unit's fixed prefix —
+  /// deterministic single-threaded, so a resumed run reproduces it
+  /// exactly.
   std::uint64_t stages_computed = 0;
   /// SoA batch accounting of the err-objective beam/greedy search, which
   /// scores each frontier expansion through one
@@ -79,8 +80,9 @@ struct SearchStats {
   std::uint64_t soa_batches = 0;
   std::uint64_t soa_lanes = 0;
   std::uint64_t soa_max_lanes = 0;
-  /// Branch-and-bound accounting (explore/branch_bound.hpp; zero for the
-  /// other optimizers).  nodes_expanded counts tree nodes whose children
+  /// Branch-and-bound accounting (explore/branch_bound.hpp; exhaustive
+  /// fills nodes_expanded and steal_count and never cuts; zero for beam
+  /// and greedy).  nodes_expanded counts tree nodes whose children
   /// were generated after surviving the admissible-bound test;
   /// bound_cutoffs counts the prune events and nodes_pruned the leaves
   /// those cutoffs skipped (saturating at UINT64_MAX for astronomically
@@ -118,19 +120,21 @@ struct HybridDesign {
 class HybridOptimizer {
  public:
   /// Exact optimum by enumerating all |candidates|^N chains.  Guarded by
-  /// `max_combinations` (std::invalid_argument beyond it).  Each shard
-  /// walks its assignments as a depth-first trie over an
-  /// engine::IncrementalAnalyzer, rewinding only the stages that changed
-  /// between consecutive designs, so shared prefixes are advanced once —
-  /// amortized O(1) stages per design instead of O(N).  Shards run
-  /// concurrently on a thread pool (`threads == 0` → the shared pool);
-  /// ties are broken by the lowest design index in the historical
-  /// stage-0-fastest enumeration order, so the winner is independent of
-  /// both the thread count and the internal walk order.
-  /// With `objective` kMed/kMse each shard's DFS additionally tracks the
-  /// error-PMF state per pushed stage and scores leaves on the analytic
-  /// metric; exact metric ties still break to the lowest historical
-  /// design index.
+  /// `max_combinations` (std::invalid_argument beyond it).  This is the
+  /// branch-and-bound DFS of explore/branch_bound.hpp with the admissible
+  /// bound and the beam seed switched off: the same unit split, frames,
+  /// constraint screens, leaf scores and work stealing, but every design
+  /// is either rejected by the constraints or scored, so
+  /// candidates_evaluated + candidates_rejected == |candidates|^N and
+  /// bound_cutoffs == nodes_pruned == 0.  Its SearchStats also report
+  /// nodes_expanded and count frame advances in stages_computed.  Ties
+  /// break to the lowest design index in the historical enumeration order
+  /// (stage 0 the least significant digit), so the winner is independent
+  /// of the thread count (`threads == 0` → the shared pool).  With
+  /// `objective` kMed/kMse leaves are scored on the analytic metric of
+  /// the finalized error PMF.  Like branch_bound() it accepts at most
+  /// 255 candidate cells (std::invalid_argument beyond).  Defined in
+  /// branch_bound.cpp.
   [[nodiscard]] static HybridDesign exhaustive(
       const multibit::InputProfile& profile,
       std::span<const adders::AdderCell> candidates,

@@ -10,8 +10,10 @@ void ErrorMetrics::add(std::uint64_t approx_value, std::uint64_t exact_value,
                        bool stage_success) noexcept {
   ++cases_;
   if (!stage_success) ++stage_failures_;
-  const std::int64_t error = static_cast<std::int64_t>(approx_value) -
-                             static_cast<std::int64_t>(exact_value);
+  // Subtract as uint64 and reinterpret: the same two's-complement bits
+  // as a signed subtraction, without its overflow at width 63.
+  const std::int64_t error =
+      static_cast<std::int64_t>(approx_value - exact_value);
   if (error != 0) ++value_errors_;
   const double e = static_cast<double>(error);
   sum_error_ += e;

@@ -1,21 +1,31 @@
-// Branch-and-bound DSE: optimality vs the exhaustive reference,
-// determinism across thread counts, checkpoint serialization and the
-// kill/resume contract.
+// Branch-and-bound DSE: optimality vs the exhaustive reference and an
+// independent brute-force oracle, determinism across thread counts,
+// checkpoint serialization and the kill/resume contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/adders/characteristics.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
+#include "sealpaa/analysis/mkl.hpp"
+#include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/explore/branch_bound.hpp"
 #include "sealpaa/explore/hybrid.hpp"
+#include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/obs/checkpoint.hpp"
+#include "sealpaa/obs/json.hpp"
 #include "sealpaa/obs/serialize.hpp"
 
 namespace {
 
+using sealpaa::adders::AdderCell;
 using sealpaa::adders::accurate;
 using sealpaa::adders::builtin_lpaas;
 using sealpaa::adders::lpaa;
@@ -69,6 +79,170 @@ void expect_same_design(const HybridDesign& a, const HybridDesign& b) {
   EXPECT_EQ(a.p_success, b.p_success);
   EXPECT_EQ(a.med, b.med);
   EXPECT_EQ(a.mse, b.mse);
+}
+
+/// The best design of an independent brute-force loop that shares no
+/// code with the search: every choice vector in historical index order
+/// (stage 0 the least significant digit), each design scored from
+/// scratch, the best kept by (score, lowest index), designs over the
+/// power budget (or using a cell without power data) rejected.
+struct OracleBest {
+  std::vector<std::string> names;
+  double score = 0.0;
+  std::uint64_t evaluated = 0;
+  std::uint64_t rejected = 0;
+};
+
+OracleBest brute_force(const InputProfile& profile,
+                       std::span<const AdderCell> palette,
+                       const DesignConstraints& constraints,
+                       Objective objective) {
+  namespace analysis = sealpaa::analysis;
+  const std::size_t n = profile.width();
+  std::vector<std::size_t> choice(n, 0);
+  std::vector<AdderCell> stages(n, palette[0]);
+  OracleBest best;
+  bool found = false;
+  for (;;) {
+    double power = 0.0;
+    bool usable = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      stages[i] = palette[choice[i]];
+      if (!constraints.max_power_nw) continue;
+      const auto* row = sealpaa::adders::find_characteristics(stages[i]);
+      usable = usable && row != nullptr && row->power_nw.has_value();
+      if (usable) power += *row->power_nw;
+    }
+    if (!usable ||
+        (constraints.max_power_nw && power > *constraints.max_power_nw)) {
+      ++best.rejected;
+    } else {
+      ++best.evaluated;
+      double score = 0.0;
+      if (objective == Objective::kErrorRate) {
+        analysis::CarryState carry{1.0 - profile.p_cin(), profile.p_cin()};
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+          carry = analysis::advance_stage(
+              analysis::MklMatrices::from_cell(stages[i]), profile.p_a(i),
+              profile.p_b(i), carry);
+        }
+        score = analysis::final_success(
+            analysis::MklMatrices::from_cell(stages[n - 1]),
+            profile.p_a(n - 1), profile.p_b(n - 1), carry);
+      } else {
+        const analysis::ErrorPmf pmf = analysis::propagate_error_pmf(
+            sealpaa::multibit::AdderChain(stages), profile);
+        score = objective == Objective::kMed ? pmf.mean_error_distance()
+                                             : pmf.mean_squared_error();
+      }
+      // Enumeration runs in ascending index order, so only a strictly
+      // better score may replace the incumbent.
+      const bool better = objective == Objective::kErrorRate
+                              ? score > best.score
+                              : score < best.score;
+      if (!found || better) {
+        found = true;
+        best.score = score;
+        best.names.clear();
+        for (const AdderCell& cell : stages) {
+          best.names.emplace_back(cell.name());
+        }
+      }
+    }
+    std::size_t i = 0;
+    while (i < n && ++choice[i] == palette.size()) choice[i++] = 0;
+    if (i == n) return best;
+  }
+}
+
+/// Palettes with exact score ties.  The unconstrained one repeats LPAA1
+/// under another name, so a winner taken from the wrong side of a tie
+/// shows in the stage names.  The budgeted one repeats LPAA2 itself (a
+/// renamed cell would lose its power data) and carries a cell without
+/// power data (LPAA6, always rejected).
+std::vector<AdderCell> tie_palette() {
+  return {lpaa(1), lpaa(7), AdderCell("LPAA1copy", lpaa(1).rows()), lpaa(3)};
+}
+std::vector<AdderCell> budget_palette() {
+  return {accurate(), lpaa(2), lpaa(6), lpaa(5), lpaa(2)};
+}
+DesignConstraints half_accurate_budget(std::size_t width) {
+  DesignConstraints constraints;
+  constraints.max_power_nw = 1385.0 * static_cast<double>(width / 2) +
+                             294.0 * static_cast<double>(width - width / 2);
+  return constraints;
+}
+
+double objective_score(const HybridDesign& design, Objective objective) {
+  if (objective == Objective::kErrorRate) return design.p_success;
+  return objective == Objective::kMed ? design.med.value() : design.mse.value();
+}
+
+TEST(BranchBound, ExhaustiveAndOptimizeMatchBruteForceOracle) {
+  for (const Objective objective :
+       {Objective::kErrorRate, Objective::kMed, Objective::kMse}) {
+    for (const bool budgeted : {false, true}) {
+      for (std::size_t width = 4; width <= 6; ++width) {
+        const InputProfile profile = varied_profile(width);
+        const std::vector<AdderCell> palette =
+            budgeted ? budget_palette() : tie_palette();
+        const DesignConstraints constraints =
+            budgeted ? half_accurate_budget(width) : DesignConstraints{};
+        const OracleBest oracle =
+            brute_force(profile, palette, constraints, objective);
+        ASSERT_GT(oracle.evaluated, 0u);
+        for (const unsigned threads : {1u, 4u}) {
+          SCOPED_TRACE(std::string(sealpaa::explore::objective_name(objective)) +
+                       (budgeted ? " budgeted" : " unconstrained") + " w" +
+                       std::to_string(width) + " threads " +
+                       std::to_string(threads));
+          const HybridDesign exact = HybridOptimizer::exhaustive(
+              profile, palette, constraints, 50'000'000, threads, objective);
+          const BnbResult bnb = BranchBoundOptimizer::optimize(
+              profile, palette, constraints, objective, threads_opt(threads));
+          ASSERT_TRUE(bnb.complete);
+          for (const HybridDesign* design : {&exact, &bnb.design}) {
+            EXPECT_EQ(stage_names(*design), oracle.names);
+            EXPECT_EQ(objective_score(*design, objective), oracle.score);
+          }
+          expect_same_design(bnb.design, exact);
+          EXPECT_EQ(exact.stats.candidates_evaluated, oracle.evaluated);
+          EXPECT_EQ(exact.stats.candidates_rejected, oracle.rejected);
+        }
+      }
+    }
+  }
+}
+
+TEST(BranchBound, ExhaustiveNeverCutsAndCountsEveryDesign) {
+  const std::size_t width = 6;
+  const InputProfile profile = varied_profile(width);
+  const std::vector<AdderCell> palette = budget_palette();
+  std::uint64_t designs = 1;
+  for (std::size_t i = 0; i < width; ++i) designs *= palette.size();
+  for (const Objective objective :
+       {Objective::kErrorRate, Objective::kMed, Objective::kMse}) {
+    SCOPED_TRACE(std::string(sealpaa::explore::objective_name(objective)));
+    const SearchStats one =
+        HybridOptimizer::exhaustive(profile, palette,
+                                    half_accurate_budget(width), 50'000'000,
+                                    1, objective)
+            .stats;
+    const SearchStats four =
+        HybridOptimizer::exhaustive(profile, palette,
+                                    half_accurate_budget(width), 50'000'000,
+                                    4, objective)
+            .stats;
+    for (const SearchStats* stats : {&one, &four}) {
+      EXPECT_EQ(stats->bound_cutoffs, 0u);
+      EXPECT_EQ(stats->nodes_pruned, 0u);
+      EXPECT_GT(stats->candidates_rejected, 0u);
+      EXPECT_EQ(stats->candidates_evaluated + stats->candidates_rejected,
+                designs);
+    }
+    EXPECT_EQ(one.candidates_evaluated, four.candidates_evaluated);
+    EXPECT_EQ(one.candidates_rejected, four.candidates_rejected);
+  }
 }
 
 TEST(BranchBound, MatchesExhaustiveOptimumAllObjectives) {
@@ -305,6 +479,74 @@ TEST(BranchBound, ResumeRejectsMismatchedSearch) {
                                             builtin_lpaas(),
                                             suspended.checkpoint),
                std::invalid_argument);
+}
+
+// The checkpoint's palette fingerprints are a file format: bit r is row
+// r's sum, bit 8+r its carry-out.  These values were recorded from the
+// first release of the format, so a checkpoint written then still
+// validates.
+TEST(BranchBound, CheckpointPaletteFingerprintsArePinned) {
+  const std::vector<AdderCell> palette = {accurate(), lpaa(1), lpaa(2),
+                                          lpaa(3),    lpaa(4), lpaa(5),
+                                          lpaa(6),    lpaa(7)};
+  const std::vector<std::uint16_t> pinned = {59542, 60546, 59415, 60435,
+                                             61578, 61644, 43670, 59582};
+  BnbOptions options;
+  options.threads = 1;
+  options.suspend_after_units = 1;
+  const BnbResult suspended = BranchBoundOptimizer::optimize(
+      varied_profile(4), palette, {}, Objective::kErrorRate, options);
+  ASSERT_FALSE(suspended.complete);
+  EXPECT_EQ(suspended.checkpoint.palette, pinned);
+}
+
+// A checkpoint written by the first release of the format (sealpaa_cli
+// hybrid --bits=5 --profile=0.2,0.4,0.5,0.7,0.9 --budget-nw=6000
+// --search=bnb --threads=1 --suspend-after-units=3) still validates and
+// resumes to the uninterrupted run's design and counters.
+TEST(BranchBound, ResumesCheckpointFromFirstFormatRelease) {
+  constexpr const char* kCheckpoint = R"({
+    "schema": "sealpaa.bnb-checkpoint", "version": 1,
+    "objective": "err", "width": 5,
+    "palette": [60546, 59415, 60435, 61578, 61644, 59542],
+    "profile": {
+      "p_a": [0.20000000000000001, 0.40000000000000002, 0.5,
+              0.69999999999999996, 0.90000000000000002],
+      "p_b": [0.20000000000000001, 0.40000000000000002, 0.5,
+              0.69999999999999996, 0.90000000000000002],
+      "p_cin": 0.20000000000000001
+    },
+    "constraints": {"max_power_nw": 6000, "max_area_ge": null},
+    "split_depth": 3, "total_units": 216,
+    "incumbent": {"choices": [5, 5, 5, 5, 3],
+                  "score": 0.87751748800000018,
+                  "score_bits": "3fec149f8e14192d", "index": 5183},
+    "completed_units": [0, 1, 2],
+    "stats": {"candidates_evaluated": 0, "candidates_rejected": 0,
+              "cache_hits": 0, "cache_misses": 0, "stages_computed": 9,
+              "soa_batches": 0, "soa_lanes": 0, "soa_max_lanes": 0,
+              "nodes_expanded": 0, "nodes_pruned": 108, "bound_cutoffs": 3,
+              "steal_count": 0}
+  })";
+  const std::vector<double> p = {0.2, 0.4, 0.5, 0.7, 0.9};
+  const InputProfile profile(p, p, p.front());
+  const std::vector<AdderCell> palette = {lpaa(1), lpaa(2), lpaa(3),
+                                          lpaa(4), lpaa(5), accurate()};
+  DesignConstraints constraints;
+  constraints.max_power_nw = 6000.0;
+  const BnbCheckpoint checkpoint = sealpaa::obs::parse_bnb_checkpoint(
+      sealpaa::obs::Json::parse(kCheckpoint));
+  const BnbResult resumed =
+      BranchBoundOptimizer::resume(profile, palette, checkpoint, constraints,
+                                   Objective::kErrorRate, threads_opt(1));
+  ASSERT_TRUE(resumed.complete);
+  const BnbResult uninterrupted = BranchBoundOptimizer::optimize(
+      profile, palette, constraints, Objective::kErrorRate, threads_opt(1));
+  expect_same_design(resumed.design, uninterrupted.design);
+  EXPECT_EQ(stage_names(resumed.design),
+            (std::vector<std::string>{"AccuFA", "AccuFA", "AccuFA", "AccuFA",
+                                      "LPAA4"}));
+  EXPECT_TRUE(resumed.design.stats == uninterrupted.design.stats);
 }
 
 // Satellite regression: the SearchStats JSON projection must emit every

@@ -1,7 +1,7 @@
-// The engine layer's core contract: IncrementalAnalyzer and
-// ChainEvaluator are *bit-identical* to RecursiveAnalyzer::analyze —
-// EXPECT_EQ on doubles, not EXPECT_NEAR — because they replay the exact
-// advance_stage / final_success call sequence from the same base carry.
+// The engine layer's core contract: ChainEvaluator is *bit-identical* to
+// RecursiveAnalyzer::analyze — EXPECT_EQ on doubles, not EXPECT_NEAR —
+// because it replays the exact advance_stage / final_success call
+// sequence from the same base carry.
 // Plus the prefix cache's pathological configurations (zero capacity,
 // tiny capacity with evictions) and exact counter accounting, and the
 // method registry's parse/dispatch behaviour.
@@ -19,10 +19,10 @@
 
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/adders/cell.hpp"
+#include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/engine/batch_evaluator.hpp"
 #include "sealpaa/engine/chain_evaluator.hpp"
-#include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/engine/method.hpp"
 #include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
@@ -33,13 +33,12 @@ namespace {
 
 using sealpaa::adders::AdderCell;
 using sealpaa::analysis::AnalysisResult;
+using sealpaa::analysis::MklMatrices;
 using sealpaa::analysis::RecursiveAnalyzer;
 using sealpaa::engine::BatchMode;
 using sealpaa::engine::ChainBatchEvaluator;
 using sealpaa::engine::ChainEvaluator;
 using sealpaa::engine::ChainEvaluatorOptions;
-using sealpaa::engine::IncrementalAnalyzer;
-using sealpaa::engine::MklCache;
 using sealpaa::multibit::AdderChain;
 using sealpaa::multibit::InputProfile;
 using sealpaa::util::KernelLevel;
@@ -80,106 +79,6 @@ void expect_bit_identical(const AnalysisResult& got,
   EXPECT_EQ(got.p_error, want.p_error) << context;
   EXPECT_EQ(got.final_carry.c0, want.final_carry.c0) << context;
   EXPECT_EQ(got.final_carry.c1, want.final_carry.c1) << context;
-}
-
-// ---------------------------------------------------------------------------
-// IncrementalAnalyzer
-
-TEST(IncrementalAnalyzer, BitIdenticalToBatchAnalyzerOverRandomChains) {
-  sealpaa::prob::SplitMix64 cell_rng(0xe9c1'7e57'0000'0001ULL);
-  sealpaa::prob::Xoshiro256StarStar profile_rng(0xe9c1'7e57'0000'0002ULL);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t width = 4 + static_cast<std::size_t>(trial % 13);
-    std::vector<AdderCell> stages;
-    for (std::size_t s = 0; s < width; ++s) {
-      stages.push_back(
-          random_cell(cell_rng, trial * 100 + static_cast<int>(s)));
-    }
-    const InputProfile profile =
-        InputProfile::random(width, profile_rng, 0.05, 0.95);
-    const AdderChain chain(stages);
-    const AnalysisResult batch = RecursiveAnalyzer::analyze(
-        chain, profile, {.record_trace = true});
-
-    IncrementalAnalyzer inc(profile);
-    for (const AdderCell& cell : stages) inc.push_stage(cell);
-    const AnalysisResult result = inc.finish(/*record_trace=*/true);
-
-    expect_bit_identical(result, batch,
-                         "trial " + std::to_string(trial) + " width " +
-                             std::to_string(width));
-    ASSERT_EQ(result.trace.size(), batch.trace.size());
-    for (std::size_t s = 0; s < batch.trace.size(); ++s) {
-      EXPECT_EQ(result.trace[s].carry_out.c0, batch.trace[s].carry_out.c0);
-      EXPECT_EQ(result.trace[s].carry_out.c1, batch.trace[s].carry_out.c1);
-    }
-  }
-}
-
-TEST(IncrementalAnalyzer, RewindAndRepushStaysBitIdentical) {
-  // Interleave pushes with pops/rewinds (the DFS access pattern of the
-  // exhaustive optimizer) and check that the final result still exactly
-  // matches a from-scratch batch analysis of whatever stage sequence is
-  // on the stack at the end.
-  sealpaa::prob::SplitMix64 cell_rng(0xe9c1'7e57'0000'0003ULL);
-  sealpaa::prob::Xoshiro256StarStar profile_rng(0xe9c1'7e57'0000'0004ULL);
-  sealpaa::prob::SplitMix64 walk_rng(0xe9c1'7e57'0000'0005ULL);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t width = 4 + static_cast<std::size_t>(trial % 13);
-    std::vector<AdderCell> palette;
-    for (int c = 0; c < 5; ++c) {
-      palette.push_back(random_cell(cell_rng, trial * 10 + c));
-    }
-    const InputProfile profile =
-        InputProfile::random(width, profile_rng, 0.05, 0.95);
-
-    IncrementalAnalyzer inc(profile);
-    std::vector<AdderCell> on_stack;
-    // Random walk: push when short, rewind to a random depth sometimes.
-    while (on_stack.size() < width) {
-      if (!on_stack.empty() && walk_rng.next() % 4 == 0) {
-        const std::size_t depth = walk_rng.next() % on_stack.size();
-        inc.rewind(depth);
-        on_stack.erase(on_stack.begin() + static_cast<std::ptrdiff_t>(depth),
-                       on_stack.end());
-      }
-      const AdderCell& cell = palette[walk_rng.next() % palette.size()];
-      inc.push_stage(cell);
-      on_stack.push_back(cell);
-    }
-    const AnalysisResult batch =
-        RecursiveAnalyzer::analyze(AdderChain(on_stack), profile);
-    expect_bit_identical(inc.finish(), batch, "trial " + std::to_string(trial));
-  }
-}
-
-TEST(IncrementalAnalyzer, ValidatesStackDiscipline) {
-  const InputProfile profile = InputProfile::uniform(4, 0.5);
-  const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
-  IncrementalAnalyzer inc(profile);
-  EXPECT_THROW((void)inc.finish(), std::logic_error);   // not full
-  EXPECT_THROW(inc.pop(), std::logic_error);            // empty
-  EXPECT_THROW(inc.rewind(1), std::invalid_argument);   // beyond depth
-  for (int i = 0; i < 4; ++i) inc.push_stage(cell);
-  EXPECT_THROW(inc.push_stage(cell), std::logic_error);  // full
-  EXPECT_NO_THROW((void)inc.finish());
-  inc.rewind(0);
-  EXPECT_EQ(inc.depth(), 0u);
-}
-
-TEST(IncrementalAnalyzer, MklCacheDerivesEachDistinctCellOnce) {
-  MklCache cache;
-  const auto lpaas = sealpaa::adders::builtin_lpaas();
-  const InputProfile profile = InputProfile::uniform(8, 0.3);
-  IncrementalAnalyzer inc(profile, &cache);
-  for (int round = 0; round < 4; ++round) {
-    inc.rewind(0);
-    for (std::size_t s = 0; s < 8; ++s) {
-      inc.push_stage(lpaas[s % lpaas.size()]);
-    }
-  }
-  EXPECT_EQ(cache.size(), lpaas.size());
-  EXPECT_EQ(cache.derivations(), lpaas.size());  // never re-derived
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +126,8 @@ TEST(ChainEvaluator, BitIdenticalToBatchAnalyzerOver200RandomChains) {
 
 TEST(ChainEvaluator, FinalSuccessMatchesIncrementalScoringPath) {
   // final_success(prefix, c) is the raw Equation 12 dot product the DSE
-  // ranks by — identical to IncrementalAnalyzer::final_success_with.
+  // ranks by — identical to advancing the prefix stage by stage with
+  // advance_stage and closing it with analysis::final_success.
   sealpaa::prob::SplitMix64 cell_rng(0xc4a1'7e57'0000'0004ULL);
   sealpaa::prob::Xoshiro256StarStar profile_rng(0xc4a1'7e57'0000'0005ULL);
   const std::size_t width = 8;
@@ -236,17 +136,20 @@ TEST(ChainEvaluator, FinalSuccessMatchesIncrementalScoringPath) {
   const InputProfile profile =
       InputProfile::random(width, profile_rng, 0.05, 0.95);
   ChainEvaluator evaluator(profile, palette);
-  MklCache mkls;
-  IncrementalAnalyzer inc(profile, &mkls);
 
   std::vector<std::size_t> prefix;
+  sealpaa::analysis::CarryState carry{1.0 - profile.p_cin(), profile.p_cin()};
   for (std::size_t s = 0; s < width - 1; ++s) {
     prefix.push_back(s % palette.size());
-    inc.push_stage(palette[prefix.back()]);
+    carry = sealpaa::analysis::advance_stage(
+        MklMatrices::from_cell(palette[prefix.back()]), profile.p_a(s),
+        profile.p_b(s), carry);
   }
   for (std::size_t c = 0; c < palette.size(); ++c) {
     EXPECT_EQ(evaluator.final_success(prefix, c),
-              inc.final_success_with(mkls.of(palette[c])))
+              sealpaa::analysis::final_success(
+                  MklMatrices::from_cell(palette[c]), profile.p_a(width - 1),
+                  profile.p_b(width - 1), carry))
         << "last choice " << c;
   }
 }

@@ -8,9 +8,9 @@
 //  * an exact chain collapses to the point mass at 0;
 //  * the dense and sparse mixture accumulators are bit-identical, and
 //    convolve()'s FFT path agrees with the exact naive product;
-//  * the engine integrations (IncrementalAnalyzer PMF tracking and the
-//    ChainEvaluator PMF prefix cache) reproduce the batch propagation
-//    exactly while accounting their cache traffic.
+//  * the engine integration (the ChainEvaluator PMF prefix cache)
+//    reproduces the batch propagation exactly while accounting its cache
+//    traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +28,6 @@
 #include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
 #include "sealpaa/engine/chain_evaluator.hpp"
-#include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
 #include "sealpaa/prob/rng.hpp"
@@ -44,7 +43,6 @@ using sealpaa::baseline::ExhaustiveReport;
 using sealpaa::baseline::WeightedExhaustive;
 using sealpaa::engine::ChainEvaluator;
 using sealpaa::engine::ChainEvaluatorOptions;
-using sealpaa::engine::IncrementalAnalyzer;
 using sealpaa::multibit::AdderChain;
 using sealpaa::multibit::InputProfile;
 
@@ -359,58 +357,7 @@ TEST(ErrorPmf, SupportGuardAndWidthGuardThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integrations
-
-TEST(ErrorPmf, IncrementalTrackingMatchesBatchPropagation) {
-  sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'000aULL);
-  sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'000bULL);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t width = 4 + static_cast<std::size_t>(trial % 9);
-    const std::vector<AdderCell> stages = random_chain(cell_rng, width, trial);
-    const InputProfile profile =
-        InputProfile::random(width, profile_rng, 0.05, 0.95);
-
-    IncrementalAnalyzer inc(profile);
-    inc.enable_pmf_tracking();
-    for (const AdderCell& cell : stages) inc.push_stage(cell);
-    const ErrorPmf batch =
-        sealpaa::analysis::propagate_error_pmf(AdderChain(stages), profile);
-    expect_same_entries(inc.error_pmf(), batch,
-                        "full chain trial " + std::to_string(trial));
-
-    // The DFS access pattern: rewind two stages, push replacements, and
-    // the tracked PMF must equal a from-scratch propagation of the new
-    // stage sequence.
-    inc.rewind(width - 2);
-    std::vector<AdderCell> replayed(stages.begin(),
-                                    stages.begin() +
-                                        static_cast<std::ptrdiff_t>(width - 2));
-    for (std::size_t s = width - 2; s < width; ++s) {
-      replayed.push_back(
-          random_cell(cell_rng, trial * 100 + 50 + static_cast<int>(s)));
-      inc.push_stage(replayed.back());
-    }
-    const ErrorPmf rebatch =
-        sealpaa::analysis::propagate_error_pmf(AdderChain(replayed), profile);
-    expect_same_entries(inc.error_pmf(), rebatch,
-                        "rewound chain trial " + std::to_string(trial));
-  }
-}
-
-TEST(ErrorPmf, IncrementalTrackingGuards) {
-  const InputProfile profile = InputProfile::uniform(4, 0.5);
-  IncrementalAnalyzer inc(profile);
-  inc.enable_pmf_tracking();
-  // The matrices-only fast path cannot advance the PMF (no sum column).
-  sealpaa::engine::MklCache cache;
-  EXPECT_THROW((void)inc.push_stage(cache.of(sealpaa::adders::lpaa(1))),
-               std::logic_error);
-  inc.push_stage(sealpaa::adders::lpaa(1));
-  EXPECT_THROW(inc.enable_pmf_tracking(), std::logic_error);
-
-  IncrementalAnalyzer untracked(profile);
-  EXPECT_THROW((void)untracked.error_pmf(), std::logic_error);
-}
+// Engine integration
 
 TEST(ErrorPmf, ChainEvaluatorPmfPrefixCacheIsExactAndAccounted) {
   sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'000cULL);

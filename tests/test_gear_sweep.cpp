@@ -1,5 +1,5 @@
 // Parameterized GeAr sweep: every valid (N, R, P) configuration up to
-// N = 10 is checked against exhaustive simulation, for both the error
+// N = 9 is checked against exhaustive simulation, for both the error
 // DP and the correction-cycle distribution.
 #include <gtest/gtest.h>
 
@@ -33,13 +33,18 @@ std::vector<GearConfig> all_valid_configs(int max_n) {
   return configs;
 }
 
+const std::vector<GearConfig>& sweep_configs() {
+  static const std::vector<GearConfig> configs = all_valid_configs(9);
+  return configs;
+}
+
+/// The parameter is an index into sweep_configs(), so the instance names
+/// (".../<index>") stay stable as long as the enumeration order does.
 class GearConfigSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(GearConfigSweep, ErrorDpMatchesExhaustive) {
-  const std::vector<GearConfig> configs = all_valid_configs(9);
-  const std::size_t index = static_cast<std::size_t>(GetParam());
-  if (index >= configs.size()) GTEST_SKIP();
-  const GearConfig& config = configs[index];
+  const GearConfig& config =
+      sweep_configs()[static_cast<std::size_t>(GetParam())];
   const auto profile = InputProfile::uniform(
       static_cast<std::size_t>(config.n()), 0.5);
   const auto analysis = GearAnalyzer::analyze(config, profile);
@@ -49,10 +54,8 @@ TEST_P(GearConfigSweep, ErrorDpMatchesExhaustive) {
 }
 
 TEST_P(GearConfigSweep, CorrectionDistributionMatchesExhaustive) {
-  const std::vector<GearConfig> configs = all_valid_configs(8);
-  const std::size_t index = static_cast<std::size_t>(GetParam());
-  if (index >= configs.size()) GTEST_SKIP();
-  const GearConfig& config = configs[index];
+  const GearConfig& config =
+      sweep_configs()[static_cast<std::size_t>(GetParam())];
   const std::size_t n = static_cast<std::size_t>(config.n());
   const GearCorrector corrector(config);
   std::map<int, std::uint64_t> histogram;
@@ -74,8 +77,9 @@ TEST_P(GearConfigSweep, CorrectionDistributionMatchesExhaustive) {
   }
 }
 
-// 60 indices covers every (N <= 9) config; extras skip harmlessly.
-INSTANTIATE_TEST_SUITE_P(AllConfigs, GearConfigSweep,
-                         ::testing::Range(0, 60));
+// Exactly one instance per valid config: no index is out of range.
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, GearConfigSweep,
+    ::testing::Range(0, static_cast<int>(sweep_configs().size())));
 
 }  // namespace
