@@ -23,7 +23,10 @@
 // search's best wall time divided by nodes_expanded (the
 // explore.ns_per_node definition of the repository benchmark), and
 // exhaustive_ns_per_design_* is the 1-thread exhaustive run's best wall
-// time divided by the designs it scored.
+// time divided by the designs it scored.  seed_beam_ms_* is the best
+// wall time of the serial beam search optimize() runs to seed its
+// incumbent before any worker starts, so a thread-scaling change can be
+// told apart from a seed-cost change.
 //
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in BENCH_bnb.json next
@@ -190,6 +193,17 @@ int main(int argc, char** argv) {
         (void)guard;
         return timer.elapsed_seconds();
       });
+      const double seed_beam_seconds = min_of_reps(reps, [&] {
+        const util::WallTimer timer;
+        volatile double guard =
+            explore::HybridOptimizer::beam(profile, leg.palette,
+                                           leg.constraints,
+                                           one_thread.seed_beam_width,
+                                           leg.objective)
+                .p_success;
+        (void)guard;
+        return timer.elapsed_seconds();
+      });
       const double speedup = bnb_seconds > 0.0
                                  ? exhaustive_seconds / bnb_seconds
                                  : 0.0;
@@ -212,7 +226,8 @@ int main(int argc, char** argv) {
                 << bnb.design.stats.candidates_evaluated << " scored)  "
                 << util::fixed(node_ratio, 1) << "x fewer nodes, "
                 << util::fixed(speedup, 1) << "x faster, "
-                << util::fixed(ns_per_node, 0) << " ns/node\n";
+                << util::fixed(ns_per_node, 0) << " ns/node, seed beam "
+                << util::duration(seed_beam_seconds) << "\n";
 
       section.set("node_ratio_" + name, obs::Json(node_ratio));
       section.set("speedup_vs_exhaustive_" + name, obs::Json(speedup));
@@ -223,6 +238,8 @@ int main(int argc, char** argv) {
       section.set("ns_per_node_" + name, obs::Json(ns_per_node));
       section.set("exhaustive_ns_per_design_" + name,
                   obs::Json(exhaustive_ns_per_design));
+      section.set("seed_beam_ms_" + name,
+                  obs::Json(seed_beam_seconds * 1e3));
     }
 
     // Parallel-scaling leg: the widest err search at 1 vs 8 workers must

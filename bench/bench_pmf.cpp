@@ -15,12 +15,20 @@
 // simulated MED at width 8 (the weighted enumeration); wall-clock only,
 // the correctness gates are exact.
 //
+// Two absolute per-layer costs ride along: ns_per_mixture_entry_* is the
+// best wall time of one full width-14 propagation divided by the input
+// entries its mixtures consume.  `sparse_span` is the hybrid LPAA5 x 3,
+// LPAA2, AccuFA x 10 chain, whose error values cluster at +-2^k so the
+// mixtures' value spans dwarf their entries (the k-way merge's regime);
+// `dense` is all-LPAA3, whose supports fill their spans.
+//
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in BENCH_pmf.json
 // next to the binary (--no-json suppresses, --json-report=FILE
 // redirects).
 //
 // Flags: --reps=5  --samples=400000  --p=0.42  --quick
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -45,6 +53,56 @@ multibit::AdderChain hybrid_chain(std::size_t width,
                          : adders::accurate());
   }
   return multibit::AdderChain(std::move(stages));
+}
+
+/// Input entries the mixtures of one propagation consume: every
+/// (source segment, operand combination) term brings its segment's
+/// support into one advance mixture, and finalizing takes each segment
+/// once.
+std::uint64_t mixture_entries(const multibit::AdderChain& chain,
+                              const multibit::InputProfile& profile) {
+  analysis::ErrorPmfState state =
+      analysis::make_error_pmf_state(profile.p_cin());
+  std::uint64_t entries = 0;
+  for (std::size_t i = 0; i < chain.width(); ++i) {
+    const double p_a = profile.p_a(i);
+    const double p_b = profile.p_b(i);
+    std::uint64_t combinations = 0;
+    for (const double weight : {(1.0 - p_a) * (1.0 - p_b), (1.0 - p_a) * p_b,
+                                p_a * (1.0 - p_b), p_a * p_b}) {
+      if (weight != 0.0) ++combinations;
+    }
+    for (const analysis::ErrorPmf& segment : state.joint) {
+      entries += segment.support_size() * combinations;
+    }
+    analysis::advance_error_pmf(state, chain.stage(i), p_a, p_b);
+  }
+  for (const analysis::ErrorPmf& segment : state.joint) {
+    entries += segment.support_size();
+  }
+  return entries;
+}
+
+/// Best-of-`reps` wall time of `iterations` propagations, per mixture
+/// input entry.
+double ns_per_mixture_entry(const multibit::AdderChain& chain,
+                            const multibit::InputProfile& profile, int reps,
+                            int iterations) {
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    util::WallTimer timer;
+    for (int i = 0; i < iterations; ++i) {
+      const analysis::ErrorPmf pmf =
+          analysis::propagate_error_pmf(chain, profile);
+      volatile std::size_t guard = pmf.support_size();
+      (void)guard;
+    }
+    const double seconds = timer.elapsed_seconds();
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return best * 1e9 /
+         (static_cast<double>(iterations) *
+          static_cast<double>(mixture_entries(chain, profile)));
 }
 
 double relative_gap(double got, double want) {
@@ -198,6 +256,24 @@ int main(int argc, char** argv) {
                                        : std::uint64_t{0}));
       section.set("width" + std::to_string(width), std::move(entry));
     }
+    // ---------------------------------------------------------------
+    // Width 14: absolute mixture cost on a sparse and a dense span.
+    // ---------------------------------------------------------------
+    const std::size_t w14 = 14;
+    const auto profile14 = multibit::InputProfile::uniform(w14, p);
+    std::vector<adders::AdderCell> sparse_stages(3, adders::lpaa(5));
+    sparse_stages.push_back(adders::lpaa(2));
+    sparse_stages.insert(sparse_stages.end(), w14 - 4, adders::accurate());
+    const int iterations = quick ? 20 : 200;
+    const double ns_sparse =
+        ns_per_mixture_entry(multibit::AdderChain(std::move(sparse_stages)),
+                             profile14, reps, iterations);
+    const double ns_dense = ns_per_mixture_entry(
+        multibit::AdderChain::homogeneous(adders::lpaa(3), w14), profile14,
+        reps, std::max(1, iterations / 100));
+    std::cout << "  width 14  mixture entry: sparse span "
+              << util::fixed(ns_sparse, 2) << " ns  dense "
+              << util::fixed(ns_dense, 2) << " ns\n";
     total.stop();
 
     // Gated metrics hoisted to the section's top level, where
@@ -207,6 +283,8 @@ int main(int argc, char** argv) {
     section.set("med_inside_mc_99ci", obs::Json(all_inside_ci));
     section.set("zero_simulation_samples", obs::Json(true));
     section.set("analytic_vs_enumeration_speedup", obs::Json(speedup));
+    section.set("ns_per_mixture_entry_sparse_span", obs::Json(ns_sparse));
+    section.set("ns_per_mixture_entry_dense", obs::Json(ns_dense));
 
     std::cout << "speedup (w8 analytic vs enumeration) = "
               << util::fixed(speedup, 2) << "x\nresult: "

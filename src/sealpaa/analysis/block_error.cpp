@@ -151,6 +151,9 @@ ErrorPmf exact_pmf(const multibit::BlockChainSpec& spec,
     state[1] = ErrorPmf::point_mass(0, profile.p_cin());
   }
 
+  // Per-destination term lists, reused across stages so each stage
+  // clears them instead of reallocating them.
+  std::vector<std::vector<ErrorPmf::Term>> terms;
   for (int j = 0; j < n; ++j) {
     for (int block = 1; block < k; ++block) {
       if (spec.window_start(block) == j) {
@@ -170,7 +173,8 @@ ErrorPmf exact_pmf(const multibit::BlockChainSpec& spec,
     const double pb = profile.p_b(static_cast<std::size_t>(j));
     const double ab[4] = {(1.0 - pa) * (1.0 - pb), (1.0 - pa) * pb,
                           pa * (1.0 - pb), pa * pb};
-    std::vector<std::vector<ErrorPmf::Term>> terms(state.size());
+    terms.resize(state.size());
+    for (std::vector<ErrorPmf::Term>& list : terms) list.clear();
     for (std::size_t s = 0; s < state.size(); ++s) {
       if (state[s].empty()) continue;
       const bool c_exact = (s & 1U) != 0;

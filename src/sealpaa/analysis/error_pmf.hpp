@@ -16,11 +16,13 @@
 // so MED/MSE/WCE land within 1e-12 of the weighted-exhaustive oracle
 // while costing O(N * support) instead of O(2^(2N+1)).
 //
-// Mixtures accumulate sparsely (sort + compensated run-merge) until the
-// destination value span fits `PmfOptions::dense_threshold`, then switch
-// to a dense compensated array — the common case for wide adders whose
-// approximate stages sit in the low bits (width >= 32 keeps a tiny span
-// even though 2^65 values are representable).  Convolution of two
+// Each mixture picks the cheaper of two bit-identical accumulators: a
+// dense compensated array over the destination value span (cost ~ span
+// + entries), or a k-way merge of the terms' sorted runs (cost ~ entries
+// x log k) when the entries fill only a small share of the span, as they
+// do when error values cluster at +-2^k.  The crossover is a fixed,
+// measured constant (DESIGN.md decision 7); `PmfOptions::dense_threshold`
+// only caps the dense array's memory.  Convolution of two
 // *independent* error PMFs (block-composed adders, repeated datapath use)
 // additionally routes through a radix-2 FFT once the naive cost passes
 // `PmfOptions::fft_threshold`; see DESIGN.md for the switchover
@@ -40,9 +42,12 @@ namespace sealpaa::analysis {
 
 /// Tuning knobs for PMF representation switchover and safety rails.
 struct PmfOptions {
-  /// Accumulate a mixture densely when the destination value span
-  /// (max - min + 1) is at most this many slots.  16 bytes/slot
-  /// (compensated accumulator), so the default costs at most 1 MiB.
+  /// Memory rail of the dense mixture accumulator: a mixture whose
+  /// destination value span (max - min + 1) exceeds this many slots
+  /// always takes the k-way merge.  Below it the cheaper path wins, so
+  /// raising it never makes a sparse span dense.  16 bytes/slot
+  /// (compensated accumulator), so the default costs at most 1 MiB;
+  /// 0 forces the merge.
   std::size_t dense_threshold = std::size_t{1} << 16;
   /// convolve() switches from the exact naive product to FFT when
   /// support(a) * support(b) exceeds this (and the result span is
@@ -89,12 +94,14 @@ class ErrorPmf {
   [[nodiscard]] static ErrorPmf from_entries(Entries entries);
 
   /// Kahan-compensated weighted sum of shifted PMFs — the segmented-
-  /// convolution primitive behind the per-stage propagation.  Picks the
-  /// dense accumulator when the destination span fits
-  /// `options.dense_threshold`, the sparse sort-merge otherwise; both
-  /// orders are deterministic and produce bit-identical sums.  Throws
-  /// std::length_error when the result support exceeds
-  /// `options.max_support`.
+  /// convolution primitive behind the per-stage propagation.  Takes the
+  /// dense accumulator (cost ~ span + entries) or the k-way merge over
+  /// the terms' runs (cost ~ entries x log k), whichever is cheaper;
+  /// spans past `options.dense_threshold` always merge.  Both add each
+  /// value's contributions in term order into a fresh compensated sum,
+  /// so they produce bit-identical results for any k.  Throws
+  /// std::invalid_argument on a negative scale and std::length_error
+  /// when the result support exceeds `options.max_support`.
   [[nodiscard]] static ErrorPmf mixture(std::span<const Term> terms,
                                         const PmfOptions& options = {});
 

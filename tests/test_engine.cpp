@@ -72,6 +72,13 @@ AdderCell random_cell(sealpaa::prob::SplitMix64& rng, int index) {
   }
 }
 
+/// Default evaluator options with only the prefix-cache capacity set.
+ChainEvaluatorOptions options_with_capacity(std::size_t capacity) {
+  ChainEvaluatorOptions options;
+  options.cache_capacity = capacity;
+  return options;
+}
+
 void expect_bit_identical(const AnalysisResult& got,
                           const AnalysisResult& want,
                           const std::string& context) {
@@ -164,7 +171,7 @@ TEST(ChainEvaluator, ZeroCapacityDisablesCachingButStaysExact) {
   for (int c = 0; c < 3; ++c) palette.push_back(random_cell(cell_rng, c));
   const InputProfile profile = InputProfile::uniform(width, 0.3);
   ChainEvaluator evaluator(profile, palette,
-                           ChainEvaluatorOptions{.cache_capacity = 0});
+                           options_with_capacity(0));
 
   const std::vector<std::size_t> choices{0, 1, 2, 0, 1, 2};
   std::vector<AdderCell> stages;
@@ -195,7 +202,7 @@ TEST(ChainEvaluator, TinyCapacityEvictsLruAndStaysExact) {
   const InputProfile profile = InputProfile::uniform(width, 0.4);
   for (const std::size_t capacity : {1u, 2u, 3u}) {
     ChainEvaluator evaluator(
-        profile, palette, ChainEvaluatorOptions{.cache_capacity = capacity});
+        profile, palette, options_with_capacity(capacity));
     for (int rep = 0; rep < 40; ++rep) {
       std::vector<std::size_t> choices(width);
       for (std::size_t s = 0; s < width; ++s) {
@@ -224,7 +231,7 @@ TEST(ChainEvaluator, EvictionKeepsMostRecentlyUsedPrefix) {
   const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
   const InputProfile profile = InputProfile::uniform(4, 0.5);
   ChainEvaluator evaluator(profile, {cell},
-                           ChainEvaluatorOptions{.cache_capacity = 2});
+                           options_with_capacity(2));
   const std::vector<std::size_t> choices{0, 0, 0, 0};
   (void)evaluator.evaluate(choices);
   EXPECT_EQ(evaluator.stats().insertions, 3u);
