@@ -15,12 +15,17 @@
 // simulated MED at width 8 (the weighted enumeration); wall-clock only,
 // the correctness gates are exact.
 //
-// Two absolute per-layer costs ride along: ns_per_mixture_entry_* is the
-// best wall time of one full width-14 propagation divided by the input
-// entries its mixtures consume.  `sparse_span` is the hybrid LPAA5 x 3,
-// LPAA2, AccuFA x 10 chain, whose error values cluster at +-2^k so the
+// Three absolute per-layer costs ride along.  ns_per_mixture_entry_* is
+// the best wall time of one full width-14 propagation divided by the
+// input entries its mixtures consume.  `sparse_span` is LPAA5 x 3,
+// LPAA2, AccuFA x 9, LPAA2, whose error values cluster at +-2^k so the
 // mixtures' value spans dwarf their entries (the k-way merge's regime);
-// `dense` is all-LPAA3, whose supports fill their spans.
+// its top cell is approximate, so no exact suffix folds away and every
+// stage is propagated.  `dense` is all-LPAA3, whose supports fill their
+// spans.  ns_per_pmf_call_w32_hybrid is the best wall time of one
+// propagate_error_pmf call on a width-32 hybrid (12 LPAA stages under
+// 20 AccuFA, the analytic-pmf shape of perfbench's eval_cold), where
+// the fold finalizes at stage 12.
 //
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in BENCH_pmf.json
@@ -55,16 +60,19 @@ multibit::AdderChain hybrid_chain(std::size_t width,
   return multibit::AdderChain(std::move(stages));
 }
 
-/// Input entries the mixtures of one propagation consume: every
-/// (source segment, operand combination) term brings its segment's
-/// support into one advance mixture, and finalizing takes each segment
-/// once.
+/// Input entries the mixtures of one propagate_error_pmf call consume:
+/// every (source segment, operand combination) term of a propagated stage
+/// brings its segment's support into one advance mixture, and finalizing
+/// takes each segment once.  The trailing exact stages are folded into
+/// the finalize, so they consume nothing.
 std::uint64_t mixture_entries(const multibit::AdderChain& chain,
                               const multibit::InputProfile& profile) {
+  std::size_t fold = chain.width();
+  while (fold > 0 && chain.stage(fold - 1).is_exact()) --fold;
   analysis::ErrorPmfState state =
       analysis::make_error_pmf_state(profile.p_cin());
   std::uint64_t entries = 0;
-  for (std::size_t i = 0; i < chain.width(); ++i) {
+  for (std::size_t i = 0; i < fold; ++i) {
     const double p_a = profile.p_a(i);
     const double p_b = profile.p_b(i);
     std::uint64_t combinations = 0;
@@ -83,11 +91,11 @@ std::uint64_t mixture_entries(const multibit::AdderChain& chain,
   return entries;
 }
 
-/// Best-of-`reps` wall time of `iterations` propagations, per mixture
-/// input entry.
-double ns_per_mixture_entry(const multibit::AdderChain& chain,
-                            const multibit::InputProfile& profile, int reps,
-                            int iterations) {
+/// Best-of-`reps` wall time of one propagation, in ns (each rep times
+/// `iterations` calls).
+double ns_per_propagation(const multibit::AdderChain& chain,
+                          const multibit::InputProfile& profile, int reps,
+                          int iterations) {
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     util::WallTimer timer;
@@ -100,9 +108,15 @@ double ns_per_mixture_entry(const multibit::AdderChain& chain,
     const double seconds = timer.elapsed_seconds();
     if (rep == 0 || seconds < best) best = seconds;
   }
-  return best * 1e9 /
-         (static_cast<double>(iterations) *
-          static_cast<double>(mixture_entries(chain, profile)));
+  return best * 1e9 / static_cast<double>(iterations);
+}
+
+/// ns_per_propagation per mixture input entry.
+double ns_per_mixture_entry(const multibit::AdderChain& chain,
+                            const multibit::InputProfile& profile, int reps,
+                            int iterations) {
+  return ns_per_propagation(chain, profile, reps, iterations) /
+         static_cast<double>(mixture_entries(chain, profile));
 }
 
 double relative_gap(double got, double want) {
@@ -263,7 +277,8 @@ int main(int argc, char** argv) {
     const auto profile14 = multibit::InputProfile::uniform(w14, p);
     std::vector<adders::AdderCell> sparse_stages(3, adders::lpaa(5));
     sparse_stages.push_back(adders::lpaa(2));
-    sparse_stages.insert(sparse_stages.end(), w14 - 4, adders::accurate());
+    sparse_stages.insert(sparse_stages.end(), w14 - 5, adders::accurate());
+    sparse_stages.push_back(adders::lpaa(2));
     const int iterations = quick ? 20 : 200;
     const double ns_sparse =
         ns_per_mixture_entry(multibit::AdderChain(std::move(sparse_stages)),
@@ -274,6 +289,15 @@ int main(int argc, char** argv) {
     std::cout << "  width 14  mixture entry: sparse span "
               << util::fixed(ns_sparse, 2) << " ns  dense "
               << util::fixed(ns_dense, 2) << " ns\n";
+
+    // ---------------------------------------------------------------
+    // Width 32: one call on the hybrid shape, exact suffix folded.
+    // ---------------------------------------------------------------
+    const double ns_call_w32 = ns_per_propagation(
+        hybrid_chain(32, 12), multibit::InputProfile::uniform(32, p), reps,
+        quick ? 10 : 100);
+    std::cout << "  width 32  pmf call, 12 LPAA + 20 AccuFA: "
+              << util::fixed(ns_call_w32, 0) << " ns\n";
     total.stop();
 
     // Gated metrics hoisted to the section's top level, where
@@ -285,6 +309,7 @@ int main(int argc, char** argv) {
     section.set("analytic_vs_enumeration_speedup", obs::Json(speedup));
     section.set("ns_per_mixture_entry_sparse_span", obs::Json(ns_sparse));
     section.set("ns_per_mixture_entry_dense", obs::Json(ns_dense));
+    section.set("ns_per_pmf_call_w32_hybrid", obs::Json(ns_call_w32));
 
     std::cout << "speedup (w8 analytic vs enumeration) = "
               << util::fixed(speedup, 2) << "x\nresult: "

@@ -282,7 +282,10 @@ def phase_cli_parity(port, cli):
 
 def phase_analytic_pmf(port, cli):
     print("-- analytic-pmf: simulation-free MED/MSE match the CLI")
-    combos = [("LPAA1", 8, 0.3), ("LPAA6", 12, 0.5), ("LPAA3", 16, 0.42)]
+    # The all-AccuFA chain folds its whole exact suffix: the PMF is
+    # finalized at stage 0, the point mass at 0.
+    combos = [("LPAA1", 8, 0.3), ("LPAA6", 12, 0.5), ("LPAA3", 16, 0.42),
+              ("AccuFA", 32, 0.42)]
     conn = Connection(port)
     for index, (cell, bits, p) in enumerate(combos):
         with tempfile.NamedTemporaryFile(suffix=".json") as report_file:
@@ -314,6 +317,10 @@ def phase_analytic_pmf(port, cli):
         mass = pmf.get("total_mass")
         check(isinstance(mass, (int, float)) and abs(mass - 1.0) <= 1e-9,
               f"analytic-pmf {cell} width {bits} pmf mass ~ 1 ({mass!r})")
+        if cell == "AccuFA":
+            check(actual.get("mean_error_distance") == 0
+                  and pmf.get("support") == 1,
+                  f"analytic-pmf {cell} width {bits} is the point mass at 0")
     conn.close()
 
 

@@ -6,6 +6,7 @@
 #include <complex>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sealpaa/prob/kahan.hpp"
@@ -407,6 +408,14 @@ ErrorPmf::Entries ErrorPmf::top_mass_points(std::size_t k) const {
   return ranked;
 }
 
+void check_pmf_width(std::size_t width) {
+  if (width > kMaxPmfWidth) {
+    throw std::length_error(
+        "error-PMF propagation supports widths <= 62, got " +
+        std::to_string(width));
+  }
+}
+
 ErrorPmfState make_error_pmf_state(double p_cin) {
   ErrorPmfState state;
   if (p_cin < 1.0) {
@@ -426,12 +435,7 @@ void advance_error_pmf(const ErrorPmfState& from, const adders::AdderCell& cell,
     throw std::invalid_argument(
         "advance_error_pmf: source and destination states must differ");
   }
-  // Stage 62 would put the carry-out weight at 2^63, outside the signed
-  // error domain; the chain layer allows width 63 but the PMF does not.
-  if (from.stage >= 62) {
-    throw std::length_error(
-        "advance_error_pmf: error-PMF propagation supports widths <= 62");
-  }
+  check_pmf_width(from.stage + 1);
   const adders::AdderCell::Rows& exact = adders::AdderCell::accurate_rows();
   const std::array<double, 4> ab = ab_weights(p_a, p_b);
   const std::int64_t weight = std::int64_t{1} << from.stage;
@@ -501,8 +505,11 @@ ErrorPmf propagate_error_pmf(const multibit::AdderChain& chain,
     throw std::invalid_argument(
         "propagate_error_pmf: chain and profile widths differ");
   }
+  check_pmf_width(chain.width());
+  std::size_t fold = chain.width();
+  while (fold > 0 && chain.stage(fold - 1).is_exact()) --fold;
   ErrorPmfState state = make_error_pmf_state(profile.p_cin());
-  for (std::size_t i = 0; i < chain.width(); ++i) {
+  for (std::size_t i = 0; i < fold; ++i) {
     advance_error_pmf(state, chain.stage(i), profile.p_a(i), profile.p_b(i),
                       options);
   }

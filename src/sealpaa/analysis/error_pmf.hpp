@@ -11,7 +11,15 @@
 // convolution: every (source pair, operand combination) term shifts one
 // segment PMF by its delta and the four destination pairs each collect a
 // weighted mixture of shifted segments.  Finalizing folds the carry-out
-// difference (ca - ce) * 2^N into the merged PMF.  All probability
+// difference (ca - ce) * 2^N into the merged PMF.
+//
+// A chain's trailing run of exact cells costs nothing: above stage s both
+// sides add the same operand bits with accurate cells, so the upper sums
+// differ by exactly (ca_s - ce_s) * 2^s — the very shift finalizing at
+// stage s applies.  Every full-chain PMF (propagate_error_pmf,
+// engine::ChainEvaluator::error_pmf, the branch-and-bound leaves)
+// therefore stops at the start of that run and finalizes there
+// (DESIGN.md decision 13).  All probability
 // accumulation is Kahan-compensated (prob/kahan.hpp) and deterministic,
 // so MED/MSE/WCE land within 1e-12 of the weighted-exhaustive oracle
 // while costing O(N * support) instead of O(2^(2N+1)).
@@ -162,6 +170,17 @@ class ErrorPmf {
   Entries entries_;  // strictly ascending by value, probabilities > 0
 };
 
+/// Widest chain the error PMF represents: a 63rd stage would put the
+/// carry-out weight at 2^63, outside the signed error domain (the chain
+/// layer allows width 63; the PMF does not).
+inline constexpr std::size_t kMaxPmfWidth = 62;
+
+/// Throws std::length_error when a chain of `width` stages is wider than
+/// kMaxPmfWidth.  The rail is on the chain width, not on the stages
+/// actually propagated, so folding an exact suffix never lets a too-wide
+/// chain through.
+void check_pmf_width(std::size_t width);
+
 /// Propagation state: one conditioned error PMF per joint carry pair
 /// (approximate carry ca, exact carry ce), indexed `(ca << 1) | ce` like
 /// the moment DP.  `joint[j].total_mass()` is P(reaching pair j), so the
@@ -197,7 +216,12 @@ void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
 [[nodiscard]] ErrorPmf finalize_error_pmf(const ErrorPmfState& state,
                                           const PmfOptions& options = {});
 
-/// Convenience driver: full-width propagation for a chain + profile.
+/// Error PMF of a full chain under `profile`: propagates the stages
+/// below the chain's trailing run of exact cells (AdderCell::is_exact)
+/// and finalizes there, which equals advancing through the whole chain
+/// (the run only carries (ca - ce) * 2^s up to the carry-out).  An
+/// all-exact chain is the point mass at 0.  Throws std::length_error for
+/// widths past kMaxPmfWidth, whatever the chain ends in.
 [[nodiscard]] ErrorPmf propagate_error_pmf(const multibit::AdderChain& chain,
                                            const multibit::InputProfile& profile,
                                            const PmfOptions& options = {});

@@ -563,8 +563,21 @@ std::shared_ptr<const analysis::ErrorPmfState> ChainEvaluator::pmf_state_after(
 
 analysis::ErrorPmf ChainEvaluator::error_pmf(
     std::span<const std::size_t> choices) {
+  if (choices.size() > width()) {
+    throw std::invalid_argument("ChainEvaluator::error_pmf: " +
+                                std::to_string(choices.size()) +
+                                " choices exceed width " +
+                                std::to_string(width()));
+  }
+  for (const std::size_t choice : choices) check_choice(choice);
+  analysis::check_pmf_width(choices.size());
+  // Fold the trailing exact cells (DESIGN.md decision 13): finalizing at
+  // the start of the run equals propagating through it, and the PMF
+  // cache never holds a state past the last approximate stage.
+  std::size_t fold = choices.size();
+  while (fold > 0 && candidates_[choices[fold - 1]].is_exact()) --fold;
   if (choices.size() == width()) ++pmf_stats_.chains_evaluated;
-  return analysis::finalize_error_pmf(*pmf_state_after(choices),
+  return analysis::finalize_error_pmf(*pmf_state_after(choices.first(fold)),
                                       pmf_options_);
 }
 

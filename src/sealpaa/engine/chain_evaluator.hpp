@@ -147,11 +147,15 @@ class ChainEvaluator {
 
   /// Finalized error PMF of `choices` (any size up to width(); the
   /// carry-out difference is folded at the prefix depth, so a partial
-  /// chain yields its partial-adder error distribution).  For a
-  /// full-width chain this is identical to propagate_error_pmf on the
-  /// assembled chain; prefix reuse only changes how often stages are
-  /// recomputed, never the result (mixture accumulation order is a
-  /// function of the choice sequence alone).
+  /// chain yields its partial-adder error distribution).  Trailing exact
+  /// choices are stripped first and the state after the last
+  /// approximate stage is finalized, exactly as propagate_error_pmf
+  /// folds the exact suffix, so the result is bit-identical to it on the
+  /// assembled chain and the PMF cache only ever sees the stripped
+  /// prefix.  Prefix reuse only changes how often stages are recomputed,
+  /// never the result (mixture accumulation order is a function of the
+  /// choice sequence alone).  Throws std::length_error for more than
+  /// analysis::kMaxPmfWidth choices, whatever they end in.
   [[nodiscard]] analysis::ErrorPmf error_pmf(
       std::span<const std::size_t> choices);
 

@@ -77,8 +77,8 @@ double residual_bound(const analysis::ErrorPmfState& state, std::size_t depth,
   if (depth == 0) return 0.0;
   // 2^62 still divides 2^d for d > 62, so clamping keeps the congruence
   // (and the bound admissible) while staying representable.  In practice
-  // advance_error_pmf throws past 62 stages anyway.
-  if (depth > 62) depth = 62;
+  // the leaves throw past analysis::kMaxPmfWidth stages anyway.
+  depth = std::min(depth, analysis::kMaxPmfWidth);
   const std::int64_t mod = std::int64_t{1} << depth;
   const bool mse = objective == Objective::kMse;
   double bound = 0.0;
@@ -300,6 +300,7 @@ class FrameStack {
     } else {
       pmf_.resize(ctx.n + 1);
       pmf_[0] = analysis::make_error_pmf_state(p_cin);
+      fold_.resize(ctx.n + 1);
     }
   }
 
@@ -313,6 +314,7 @@ class FrameStack {
     } else {
       analysis::advance_error_pmf(pmf_[d], ctx_.candidates[c], p_a, p_b,
                                   pmf_[d + 1]);
+      fold_[d + 1] = ctx_.candidates[c].is_exact() ? fold_[d] : d + 1;
     }
     ++advances_;
   }
@@ -325,16 +327,23 @@ class FrameStack {
   }
 
   /// Score of the full design that completes frame n - 1 with candidate
-  /// c: Equation 12 for err; for med/mse the advance into frame n, then
-  /// the finalized PMF's metric.
+  /// c: Equation 12 for err; for med/mse the finalized PMF's metric.  An
+  /// exact c finalizes the frame where the design's trailing exact run
+  /// starts, with no advance (DESIGN.md decision 13); any other c
+  /// advances into frame n and finalizes that.
   [[nodiscard]] double leaf_score(std::size_t c) {
     const std::size_t last = ctx_.n - 1;
     if (ctx_.maximize) {
       return analysis::final_success(ctx_.mkls[c], ctx_.profile.p_a(last),
                                      ctx_.profile.p_b(last), carry_[last]);
     }
-    advance(last, c);
-    return detail::pmf_metric(analysis::finalize_error_pmf(pmf_[ctx_.n]),
+    analysis::check_pmf_width(ctx_.n);
+    std::size_t fold = fold_[last];
+    if (!ctx_.candidates[c].is_exact()) {
+      advance(last, c);
+      fold = ctx_.n;
+    }
+    return detail::pmf_metric(analysis::finalize_error_pmf(pmf_[fold]),
                               ctx_.objective);
   }
 
@@ -345,6 +354,9 @@ class FrameStack {
   const Ctx& ctx_;
   std::vector<analysis::CarryState> carry_;
   std::vector<analysis::ErrorPmfState> pmf_;
+  // fold_[d]: where the trailing exact run of frame d's path starts (d
+  // when stage d - 1 is approximate).
+  std::vector<std::size_t> fold_;
   std::uint64_t advances_ = 0;
 };
 

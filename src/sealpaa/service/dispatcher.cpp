@@ -391,10 +391,12 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
       } else if (evaluator != nullptr &&
                  request.method == engine::Method::kAnalyticPmf) {
         // The pooled analytic-pmf projection: ChainEvaluator::evaluate
-        // is bit-identical to RecursiveAnalyzer::analyze and error_pmf
-        // to propagate_error_pmf for a full-width chain, so this
-        // response is byte-for-byte what engine::evaluate serializes —
-        // the PMF prefix cache only changes how often stages recompute.
+        // is bit-identical to RecursiveAnalyzer::analyze, and error_pmf
+        // to propagate_error_pmf for a full-width chain (both fold the
+        // trailing exact cells at the same stage and share the width
+        // rail), so this response is byte-for-byte what
+        // engine::evaluate serializes — the PMF prefix cache only
+        // changes how often stages recompute.
         const analysis::AnalysisResult result =
             evaluator->evaluate(item.choices);
         engine::Evaluation evaluation;

@@ -3,6 +3,7 @@
 // checkpoint serialization and the kill/resume contract.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -210,6 +211,61 @@ TEST(BranchBound, ExhaustiveAndOptimizeMatchBruteForceOracle) {
           EXPECT_EQ(exact.stats.candidates_rejected, oracle.rejected);
         }
       }
+    }
+  }
+}
+
+TEST(BranchBound, ExactTailLeavesMatchExhaustiveAndOracle) {
+  // Leaves ending in AccuFA finalize the frame where their exact run
+  // starts instead of advancing; the winners of these budgets end in
+  // AccuFA, and each must score bit for bit like the oracle's
+  // propagate_error_pmf and within 1e-14 of a stage-by-stage loop.
+  const std::vector<AdderCell> palette = {accurate(), lpaa(2), lpaa(3),
+                                          lpaa(5)};
+  for (const Objective objective : {Objective::kMed, Objective::kMse}) {
+    for (std::size_t width = 5; width <= 7; ++width) {
+      const InputProfile profile = varied_profile(width);
+      DesignConstraints constraints;
+      constraints.max_power_nw =
+          1385.0 * static_cast<double>(width - 2) + 294.0 * 2.0;
+      const OracleBest oracle =
+          brute_force(profile, palette, constraints, objective);
+      ASSERT_EQ(oracle.names.back(), "AccuFA");
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(sealpaa::explore::objective_name(objective)) +
+                     " w" + std::to_string(width) + " threads " +
+                     std::to_string(threads));
+        const HybridDesign exact = HybridOptimizer::exhaustive(
+            profile, palette, constraints, 50'000'000, threads, objective);
+        const BnbResult bnb = BranchBoundOptimizer::optimize(
+            profile, palette, constraints, objective, threads_opt(threads));
+        ASSERT_TRUE(bnb.complete);
+        for (const HybridDesign* design : {&exact, &bnb.design}) {
+          EXPECT_EQ(stage_names(*design), oracle.names);
+          EXPECT_EQ(objective_score(*design, objective), oracle.score);
+        }
+        expect_same_design(bnb.design, exact);
+        EXPECT_EQ(exact.stats.candidates_evaluated, oracle.evaluated);
+      }
+
+      namespace analysis = sealpaa::analysis;
+      std::vector<AdderCell> stages;
+      for (const std::string& name : oracle.names) {
+        for (const AdderCell& cell : palette) {
+          if (cell.name() == name) stages.push_back(cell);
+        }
+      }
+      analysis::ErrorPmfState state =
+          analysis::make_error_pmf_state(profile.p_cin());
+      for (std::size_t i = 0; i < width; ++i) {
+        analysis::advance_error_pmf(state, stages[i], profile.p_a(i),
+                                    profile.p_b(i));
+      }
+      const analysis::ErrorPmf unfolded = analysis::finalize_error_pmf(state);
+      const double want = objective == Objective::kMed
+                              ? unfolded.mean_error_distance()
+                              : unfolded.mean_squared_error();
+      EXPECT_LE(std::abs(oracle.score - want), 1e-14 * want);
     }
   }
 }

@@ -3,8 +3,9 @@
 // because it replays the exact advance_stage / final_success call
 // sequence from the same base carry.
 // Plus the prefix cache's pathological configurations (zero capacity,
-// tiny capacity with evictions) and exact counter accounting, and the
-// method registry's parse/dispatch behaviour.
+// tiny capacity with evictions) and exact counter accounting, the PMF
+// prefix path's exact-suffix fold and width rail, and the method
+// registry's parse/dispatch behaviour.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -291,6 +292,86 @@ TEST(ChainEvaluator, ValidatesArguments) {
                std::invalid_argument);
   const std::vector<std::size_t> bad_choice{0, 0, 0, 1};
   EXPECT_THROW((void)evaluator.evaluate(bad_choice), std::out_of_range);
+}
+
+// ---------------------------------------------------------------------------
+// ChainEvaluator::error_pmf and the exact-suffix fold
+
+void expect_same_pmf(const sealpaa::analysis::ErrorPmf& got,
+                     const sealpaa::analysis::ErrorPmf& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.support_size(), want.support_size()) << context;
+  for (std::size_t i = 0; i < want.support_size(); ++i) {
+    EXPECT_EQ(got.entries()[i], want.entries()[i])
+        << context << " point " << i;
+  }
+}
+
+TEST(ChainEvaluator, ErrorPmfFoldsLikePropagateEvenWithDeeperStatesCached) {
+  sealpaa::prob::SplitMix64 cell_rng(0xc4a1'7e57'0000'0031ULL);
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0xc4a1'7e57'0000'0032ULL);
+  sealpaa::prob::SplitMix64 walk_rng(0xc4a1'7e57'0000'0033ULL);
+  const std::size_t width = 10;
+  // Two exact cells (AccuFA and a renamed copy) among three random ones,
+  // so the walks end in exact runs of every length.
+  std::vector<AdderCell> palette = {
+      sealpaa::adders::accurate(), random_cell(cell_rng, 1),
+      random_cell(cell_rng, 2), random_cell(cell_rng, 3),
+      AdderCell("AccuCopy", sealpaa::adders::accurate().rows())};
+  const InputProfile profile =
+      InputProfile::random(width, profile_rng, 0.05, 0.95);
+  ChainEvaluator evaluator(profile, palette);
+  for (int query = 0; query < 60; ++query) {
+    const std::size_t approximate = walk_rng.next() % (width + 1);
+    std::vector<std::size_t> choices(width);
+    std::vector<AdderCell> stages;
+    for (std::size_t i = 0; i < width; ++i) {
+      choices[i] = i < approximate ? walk_rng.next() % palette.size()
+                                   : 4 * (walk_rng.next() % 2);
+      stages.push_back(palette[choices[i]]);
+    }
+    const std::string context = "query " + std::to_string(query);
+    const sealpaa::analysis::ErrorPmf batch =
+        sealpaa::analysis::propagate_error_pmf(AdderChain(stages), profile);
+    if (query % 2 == 1) {
+      // Cache every unfolded prefix state, the full chain's included.
+      (void)evaluator.pmf_state_after(choices);
+    }
+    expect_same_pmf(evaluator.error_pmf(choices), batch, context);
+    expect_same_pmf(evaluator.error_pmf(choices), batch, context + " (warm)");
+  }
+  EXPECT_GT(evaluator.pmf_stats().hits, 0u);
+
+  // On a cold evaluator the exact tail is never propagated or cached.
+  ChainEvaluator cold(profile, palette);
+  std::vector<std::size_t> hybrid(width, 0);
+  hybrid[0] = 1;
+  hybrid[1] = 2;
+  hybrid[2] = 3;
+  hybrid[5] = 4;
+  (void)cold.error_pmf(hybrid);
+  EXPECT_EQ(cold.pmf_stats().stages_computed, 3u);
+  EXPECT_EQ(cold.pmf_cache_size(), 3u);
+}
+
+TEST(ChainEvaluator, ErrorPmfKeepsTheRailOnTheChainWidth) {
+  const std::size_t width = 63;
+  const InputProfile profile = InputProfile::uniform(width, 0.5);
+  ChainEvaluator evaluator(profile, {sealpaa::adders::accurate(),
+                                     sealpaa::adders::lpaa(3)});
+  std::vector<std::size_t> choices(width, 0);
+  choices[0] = 1;
+  EXPECT_THROW((void)evaluator.error_pmf(choices), std::length_error);
+  choices[0] = 0;
+  EXPECT_THROW((void)evaluator.error_pmf(choices), std::length_error);
+  // A 62-stage prefix of the same evaluator is inside the rail.
+  choices.pop_back();
+  EXPECT_EQ(evaluator.error_pmf(choices).support_size(), 1u);
+  // Argument checks come first, as before the fold.
+  EXPECT_THROW((void)evaluator.error_pmf(std::vector<std::size_t>(64, 0)),
+               std::invalid_argument);
+  choices.back() = 2;
+  EXPECT_THROW((void)evaluator.error_pmf(choices), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -658,6 +739,17 @@ TEST(MethodRegistry, EvaluateValidatesWidthMismatch) {
   EXPECT_THROW((void)sealpaa::engine::evaluate(
                    chain, profile, sealpaa::engine::Method::kRecursive),
                std::invalid_argument);
+}
+
+TEST(MethodRegistry, AnalyticPmfKeepsTheRailOnTheChainWidth) {
+  // A width-63 chain ending in exact cells would fold to a few stages;
+  // it must still throw where the unfolded propagation did.
+  std::vector<AdderCell> stages(3, sealpaa::adders::lpaa(2));
+  stages.resize(63, sealpaa::adders::accurate());
+  EXPECT_THROW((void)sealpaa::engine::evaluate(
+                   AdderChain(stages), InputProfile::uniform(63, 0.5),
+                   sealpaa::engine::Method::kAnalyticPmf),
+               std::length_error);
 }
 
 TEST(MethodRegistry, EvaluateBatchMatchesPerChainEvaluate) {

@@ -6,6 +6,10 @@
 //  * MED/MSE/WCE/error-rate and the full point-by-point distribution
 //    match the weighted-exhaustive oracle (2^(2N+1) enumeration);
 //  * an exact chain collapses to the point mass at 0;
+//  * folding a trailing run of exact cells into the finalize matches a
+//    stage-by-stage propagation (same support and WCE, MED/MSE within
+//    1e-14) for every exact-suffix length, and the 62-stage rail stays
+//    on the chain width;
 //  * the dense and sparse mixture accumulators are bit-identical, the
 //    k-way merge matches from_entries() over the gathered contributions
 //    bit for bit, and convolve()'s FFT path agrees with the exact naive
@@ -263,6 +267,123 @@ TEST(ErrorPmf, ExactChainIsPointMassAtZero) {
     EXPECT_EQ(pmf.worst_case_error(), 0) << width;
     EXPECT_EQ(pmf.entropy_bits(), 0.0) << width;
     EXPECT_TRUE(std::isinf(pmf.psnr_db(width))) << width;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact-suffix fold
+
+/// The propagation without the fold: advances through every stage, the
+/// trailing exact ones included, and finalizes after the last.
+ErrorPmf propagate_every_stage(const std::vector<AdderCell>& stages,
+                               const InputProfile& profile) {
+  ErrorPmfState state =
+      sealpaa::analysis::make_error_pmf_state(profile.p_cin());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    sealpaa::analysis::advance_error_pmf(state, stages[i], profile.p_a(i),
+                                         profile.p_b(i));
+  }
+  return sealpaa::analysis::finalize_error_pmf(state);
+}
+
+/// |got - want| <= 1e-14 |want|: the fold drops the exact stages'
+/// mixtures, so moments may move in their last bits, no further.
+void expect_within_1e14(double got, double want, const std::string& context) {
+  EXPECT_LE(std::abs(got - want), 1e-14 * std::abs(want))
+      << context << ": " << got << " vs " << want;
+}
+
+TEST(ErrorPmf, FoldedExactSuffixMatchesStageByStagePropagation) {
+  sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'0013ULL);
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'0014ULL);
+  int all_exact = 0;
+  for (int trial = 0; trial < 224; ++trial) {
+    // Every width 1..14 meets every exact-suffix length 0..width; random
+    // cells cover at most the low 10 bits so the supports stay small.
+    const std::size_t width = 1 + static_cast<std::size_t>(trial % 14);
+    const std::size_t suffix =
+        std::max(static_cast<std::size_t>(trial / 14) % (width + 1),
+                 width > 10 ? width - 10 : std::size_t{0});
+    std::vector<AdderCell> stages =
+        random_chain(cell_rng, width - suffix, trial);
+    stages.resize(width, sealpaa::adders::accurate());
+    const InputProfile profile =
+        InputProfile::random(width, profile_rng, 0.05, 0.95);
+    const std::string context = "trial " + std::to_string(trial) + " width " +
+                                std::to_string(width) + " exact suffix " +
+                                std::to_string(suffix);
+
+    const ErrorPmf folded =
+        sealpaa::analysis::propagate_error_pmf(AdderChain(stages), profile);
+    const ErrorPmf reference = propagate_every_stage(stages, profile);
+    ASSERT_EQ(folded.support_size(), reference.support_size()) << context;
+    for (std::size_t i = 0; i < reference.support_size(); ++i) {
+      EXPECT_EQ(folded.entries()[i].value, reference.entries()[i].value)
+          << context << " point " << i;
+    }
+    EXPECT_EQ(folded.worst_case_error(), reference.worst_case_error())
+        << context;
+    expect_within_1e14(folded.mean_error_distance(),
+                       reference.mean_error_distance(), context + " MED");
+    expect_within_1e14(folded.mean_squared_error(),
+                       reference.mean_squared_error(), context + " MSE");
+    EXPECT_NEAR(folded.total_mass(), 1.0, 1e-12) << context;
+    if (suffix == width) {
+      ++all_exact;
+      ASSERT_EQ(folded.support_size(), 1u) << context;
+      EXPECT_EQ(folded.min_value(), 0) << context;
+      EXPECT_NEAR(folded.probability_of(0), 1.0, 1e-15) << context;
+    }
+  }
+  EXPECT_GE(all_exact, 14);
+}
+
+TEST(ErrorPmf, ExactMethodsOnExactTailsMatchWeightedExhaustive) {
+  using sealpaa::engine::Method;
+  sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'0015ULL);
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'0016ULL);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t width = 2 + static_cast<std::size_t>(trial % 6) * 2;
+    const std::size_t suffix = static_cast<std::size_t>(trial) % (width + 1);
+    std::vector<AdderCell> stages =
+        random_chain(cell_rng, width - suffix, trial);
+    stages.resize(width, sealpaa::adders::accurate());
+    const AdderChain chain(stages);
+    // Uniform 0.5 admits the exhaustive simulator as a second oracle.
+    const bool uniform = trial % 2 == 0;
+    const InputProfile profile =
+        uniform ? InputProfile::uniform(width, 0.5)
+                : InputProfile::random(width, profile_rng, 0.05, 0.95);
+    const std::string context = "trial " + std::to_string(trial) + " width " +
+                                std::to_string(width) + " exact suffix " +
+                                std::to_string(suffix);
+
+    const auto oracle =
+        sealpaa::engine::evaluate(chain, profile, Method::kWeightedExhaustive);
+    const auto pmf =
+        sealpaa::engine::evaluate(chain, profile, Method::kAnalyticPmf);
+    ASSERT_TRUE(oracle.distribution.has_value()) << context;
+    ASSERT_TRUE(pmf.distribution.has_value()) << context;
+    const auto& want = *oracle.distribution;
+    const auto& got = *pmf.distribution;
+    expect_close(got.error_rate, want.error_rate, context + " error rate");
+    expect_close(got.mean_error, want.mean_error, context + " mean error");
+    expect_close(got.mean_error_distance, want.mean_error_distance,
+                 context + " MED");
+    expect_close(got.mean_squared_error, want.mean_squared_error,
+                 context + " MSE");
+    EXPECT_EQ(got.worst_case_error, want.worst_case_error) << context;
+
+    std::vector<Method> exact = {Method::kRecursive,
+                                 Method::kInclusionExclusion,
+                                 Method::kAnalyticPmf};
+    if (uniform) exact.push_back(Method::kExhaustiveSim);
+    for (const Method method : exact) {
+      const auto evaluation = sealpaa::engine::evaluate(chain, profile, method);
+      expect_close(evaluation.p_error, oracle.p_error,
+                   context + " p_error of " +
+                       std::string(sealpaa::engine::method_name(method)));
+    }
   }
 }
 
@@ -527,6 +648,27 @@ TEST(ErrorPmf, SupportGuardAndWidthGuardThrow) {
   EXPECT_THROW(sealpaa::analysis::advance_error_pmf(
                    state, sealpaa::adders::lpaa(1), 0.5, 0.5),
                std::length_error);
+
+  // The rail is on the chain width: a width-63 chain throws even when
+  // its exact tail would fold the propagation down to a few stages.
+  std::vector<AdderCell> tail(2, sealpaa::adders::lpaa(3));
+  tail.resize(63, sealpaa::adders::accurate());
+  for (const AdderChain& wide :
+       {AdderChain(tail),
+        AdderChain::homogeneous(sealpaa::adders::accurate(), 63)}) {
+    EXPECT_THROW((void)sealpaa::analysis::propagate_error_pmf(
+                     wide, InputProfile::uniform(63, 0.5)),
+                 std::length_error);
+  }
+  tail.pop_back();
+  EXPECT_EQ(sealpaa::analysis::propagate_error_pmf(
+                AdderChain(tail), InputProfile::uniform(62, 0.5))
+                .worst_case_error(),
+            sealpaa::analysis::propagate_error_pmf(
+                AdderChain(std::vector<AdderCell>(tail.begin(),
+                                                  tail.begin() + 3)),
+                InputProfile::uniform(3, 0.5))
+                .worst_case_error());
 }
 
 // ---------------------------------------------------------------------------

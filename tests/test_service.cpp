@@ -345,6 +345,72 @@ TEST(Dispatcher, GroupedRecursiveRequestsShareThePrefixCache) {
   EXPECT_EQ(dispatcher.requests_served(), 4u);
 }
 
+TEST(Dispatcher, AnalyticPmfWithExactTailMatchesEngineEvaluate) {
+  // The pooled path folds the trailing AccuFA run in
+  // ChainEvaluator::error_pmf; engine::evaluate folds it in
+  // propagate_error_pmf.  The replies must still be byte-identical, for a
+  // hybrid chain and for the all-exact one (the fold at stage 0).
+  const std::vector<std::vector<std::string>> chains = {
+      {"LPAA3", "LPAA5", "LPAA2", "LPAA1", "AccuFA", "AccuFA", "AccuFA",
+       "AccuFA", "AccuFA", "AccuFA", "AccuFA", "AccuFA"},
+      std::vector<std::string>(12, "AccuFA")};
+  Dispatcher dispatcher;
+  std::vector<PendingRequest> batch;
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    std::string array;
+    for (const std::string& name : chains[i]) {
+      array += (array.empty() ? "[\"" : ",\"") + name + "\"";
+    }
+    batch.push_back(pending(
+        1, i,
+        R"({"id":)" + std::to_string(i) +
+            R"(,"method":"analytic-pmf","width":12,"chain":)" + array +
+            R"(],"params":{"p":0.42}})"));
+  }
+  const auto responses = dispatcher.run_batch(std::move(batch), 2);
+  ASSERT_EQ(responses.size(), chains.size());
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    std::vector<sealpaa::adders::AdderCell> stages;
+    for (const std::string& name : chains[i]) {
+      const auto* cell = sealpaa::adders::find_builtin(name);
+      ASSERT_NE(cell, nullptr) << name;
+      stages.push_back(*cell);
+    }
+    const auto expected = sealpaa::engine::evaluate(
+        sealpaa::multibit::AdderChain(std::move(stages)),
+        sealpaa::multibit::InputProfile::uniform(12, 0.42),
+        sealpaa::engine::Method::kAnalyticPmf);
+    const std::string expected_fragment =
+        "\"evaluation\":" + sealpaa::obs::to_json(expected).dump(0) + "}";
+    EXPECT_NE(responses[i].frame.find(expected_fragment), std::string::npos)
+        << responses[i].frame;
+  }
+}
+
+TEST(Dispatcher, AnalyticPmfPastTheWidthRailIsAnInternalError) {
+  // Width 63 ending in AccuFA: the fold would propagate three stages, but
+  // the 62-stage rail is on the chain width, so the reply is the same
+  // internal error as for a width-63 chain whose top cell is approximate.
+  for (const char* top : {"AccuFA", "LPAA3"}) {
+    std::string array = R"(["LPAA2","LPAA2","LPAA2")";
+    for (int i = 3; i < 62; ++i) array += R"(,"AccuFA")";
+    array += std::string(",\"") + top + "\"";
+    Dispatcher dispatcher;
+    std::vector<PendingRequest> batch;
+    batch.push_back(pending(
+        1, 0,
+        R"({"id":1,"method":"analytic-pmf","width":63,"chain":)" + array +
+            "]}"));
+    const auto responses = dispatcher.run_batch(std::move(batch), 2);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_NE(responses[0].frame.find("\"code\":\"internal\""),
+              std::string::npos)
+        << top << ": " << responses[0].frame;
+    EXPECT_NE(responses[0].frame.find("widths <= 62"), std::string::npos)
+        << top << ": " << responses[0].frame;
+  }
+}
+
 TEST(Dispatcher, ZeroTimeoutExpiresBeforeEvaluation) {
   Dispatcher dispatcher;
   std::vector<PendingRequest> batch;
